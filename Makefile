@@ -1,12 +1,19 @@
 # Convenience entry points; everything is plain go tooling underneath.
 
-.PHONY: build test lint race chaos chaos-check chaos-durable all
+.PHONY: build test bench-test lint race chaos chaos-check chaos-durable chaos-dump all
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# benchmark/ is a nested module, so `go test ./...` skips it; it
+# compiles against internal/node and internal/durable, so any API
+# change there must keep this green.
+bench-test:
+	go vet -C benchmark ./...
+	go test -C benchmark ./...
 
 # The repo's own static-contract suite (DESIGN.md §8). Building first
 # warms the export-data cache rfhlint loads dependencies from.
@@ -31,4 +38,15 @@ chaos-check:
 chaos-durable:
 	go run ./cmd/rfhchaos -seeds 50 -durable
 
-all: build test lint
+# The three trajectory dumps a behaviour-preserving refactor must hold
+# byte-for-byte: run on the parent and on the change with different
+# DUMP_DIRs and `diff -r` them. -keep-going because a failing seed's
+# trajectory is part of what must not move.
+DUMP_DIR ?= /tmp/rfh-chaos-dump
+chaos-dump:
+	mkdir -p $(DUMP_DIR)
+	-go run ./cmd/rfhchaos -seeds 50 -dump -keep-going > $(DUMP_DIR)/memory.txt
+	-go run ./cmd/rfhchaos -seeds 50 -durable -dump -keep-going > $(DUMP_DIR)/durable.txt
+	-go run ./cmd/rfhchaos -seeds 50 -durable -no-oneframe -dump -keep-going > $(DUMP_DIR)/durable-no-oneframe.txt
+
+all: build test bench-test lint

@@ -38,7 +38,7 @@
 //     (Unlock after RLock), is reported.
 //
 // Lock identity is the printed source expression of the mutex operand
-// ("n.mu", "ps.mu", "t.mu"), the same notion of expression identity
+// ("n.mu", "pt.mu", "t.mu"), the same notion of expression identity
 // the divguard analyzer uses for guards. That makes the analysis
 // intra-procedurally sound for the module's style (locks are always
 // addressed through a stable selector chain) without alias analysis.

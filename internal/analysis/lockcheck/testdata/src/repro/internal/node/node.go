@@ -1,7 +1,7 @@
 // Package node exercises lockcheck: sends under a held mutex, double
 // locks, unbalanced early returns, requires-unlocked annotations, and
 // the negative patterns (balanced manual unlocks, deferred unlocks,
-// shard locks under the node lock) that must stay silent.
+// partition locks under the node lock) that must stay silent.
 package node
 
 import (
@@ -21,12 +21,41 @@ type Node struct {
 	Mu     sync.RWMutex
 	closed bool
 	tr     transport.Transport
-	shards []shard
+	shards []partition
 }
 
-type shard struct {
+// partition mirrors durable.Partition: the state machine owns its
+// mutex and every operation is a method on it, so the lock is
+// receiver-rooted ("pt.mu") and the acquires facts follow it through
+// calls — inside the package and, rebased through the call-site
+// receiver, from the node.
+type partition struct {
 	mu   sync.Mutex
 	data map[string][]byte
+}
+
+// commit is the locked-callee shape: it assumes pt.mu and takes
+// nothing.
+func (pt *partition) commit(key string, v []byte) { pt.data[key] = v }
+
+func (pt *partition) put(key string, v []byte) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	pt.commit(key, v)
+}
+
+func (pt *partition) len() int {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return len(pt.data)
+}
+
+// putCounting re-enters the partition lock through a sibling method.
+func (pt *partition) putCounting(key string, v []byte) int {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	pt.commit(key, v)
+	return pt.len() // want `call to len, which acquires pt\.mu, while pt\.mu may already be held`
 }
 
 // --- Send-under-lock ------------------------------------------------
@@ -149,16 +178,14 @@ func (n *Node) balancedEarlyReturns(p int, addr string) ([]byte, error) {
 	return resp.Value, nil
 }
 
-// shardUnderNodeLock pins the allowed hierarchy: a shard lock taken and
-// released while the node lock is held.
-func (n *Node) shardUnderNodeLock(p int, key string) []byte {
+// partitionUnderNodeLock pins the allowed hierarchy: a partition
+// operation (which takes and releases the partition's own lock) called
+// while the node lock is held. The callee's ".mu" rebases onto the
+// partition expression, not onto n, so this is no double-lock.
+func (n *Node) partitionUnderNodeLock(p int, key string, v []byte) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	s := &n.shards[p]
-	s.mu.Lock()
-	v := s.data[key]
-	s.mu.Unlock()
-	return v
+	n.shards[p].put(key, v)
 }
 
 // workerPool pins the funclit rule: goroutine bodies run under their

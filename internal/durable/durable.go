@@ -1,14 +1,17 @@
-// Package durable is the node's disk persistence engine: one
-// write-ahead log per partition, periodically folded into a snapshot
-// file and truncated (compaction). The engine records every data-plane
-// mutation the node acks — value installs, version-watermark raises,
-// drops, reseeds, residency grants and inbound transfer cursors — and
-// recovery replays snapshot + WAL back into exactly the state the last
-// acked append described: the same entry{val,ver} records, the same
-// maxVer watermark, the same residency flag, the same in-flight
-// transfer sessions. PutQuorum's "ack #1 = durable local apply"
-// contract is honest precisely because the ack paths append here
-// before they mutate the in-memory store.
+// Package durable is the node's partition state machine and its disk
+// persistence. Each Partition holds the ONE copy of a partition's state —
+// the entry map, the maxVer watermark, the residency flag, the inbound
+// transfer sessions and done-list, the compaction holds and the live
+// anti-entropy tree — behind one mutex, and changes it through exactly
+// one function, apply(record). The live write path appends the record to
+// the partition's write-ahead log, makes it durable, and only then
+// applies it; WAL replay and snapshot load feed the same apply. So what
+// a holder recovers is what it acked by construction: state is whatever
+// replaying the log produces, and PutQuorum's "ack #1 = durable local
+// apply" is one code path, not a convention between two copies.
+//
+// Memory mode (Options.Dir == "") is the same machine with no log: no
+// files, no record encoding, every other line shared.
 //
 // Physical syncing hides behind the Syncer interface, the same
 // pattern as node.Clock: live deployments run OSSync (fsync after
@@ -25,11 +28,11 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // Syncer is the physical-durability knob: it is invoked with every
@@ -57,6 +60,7 @@ func (NoSync) Sync(f *os.File) error { return nil }
 // Options configures an Engine.
 type Options struct {
 	// Dir is the node's data directory; the engine owns it exclusively.
+	// Empty means memory mode: the same machine with no log.
 	Dir string
 	// Partitions is the partition count; must match the node config.
 	Partitions int
@@ -67,99 +71,35 @@ type Options struct {
 	CompactEvery int
 }
 
-// Entry is one recovered key/value record.
-type Entry struct {
-	Key string
-	Ver uint64
-	Val []byte
-}
-
-// Session is one inbound transfer session's persisted resume state:
-// the next chunk index the target expects, out of Total, and whether
-// completing the session should mark the partition resident.
-type Session struct {
-	ID           uint64
-	Next         uint32
-	Total        uint32
-	MarkResident bool
-}
-
-// PartitionState is everything recovery restored for one partition.
-type PartitionState struct {
-	Entries  []Entry // ascending key order
-	MaxVer   uint64
-	Resident bool
-	Sessions []Session // inbound transfer cursors, arrival order
-	Done     []uint64  // recently completed inbound session ids
-}
-
-// PartitionStats is the per-partition introspection surfaced in dumps.
-type PartitionStats struct {
-	WALRecords  int // records appended since the last compaction
-	Compactions int // compactions since open
-}
-
-// maxSessions bounds the persisted inbound-session list per partition;
-// the oldest session is evicted when a newer one needs the slot. It
-// must match the store's runtime bound so recovery restores the same
-// set the shard was tracking.
-const maxSessions = 4
-
-// maxDone bounds the completed-session-id memory that keeps replayed
-// transfer-begins idempotent.
-const maxDone = 8
-
-type mirrorEntry struct {
-	ver uint64
-	val []byte
-}
-
-// engPart is one partition's engine state: the open WAL handle plus an
-// in-memory mirror of the durable state. The mirror is what recovery
-// produced (and appends keep it current), so compaction can write a
-// snapshot without asking the store — the engine is self-contained and
-// testable standalone. Values are shared with the store by reference
-// and treated as immutable by both sides.
-type engPart struct {
-	mu          sync.Mutex
-	wal         *os.File
-	walRecords  int
-	compactions int
-
-	// holds defers compaction while an outbound transfer session still
-	// needs the frozen state; pending remembers that the threshold
-	// tripped while held.
-	holds   int
-	pending bool
-
-	data     map[string]mirrorEntry
-	maxVer   uint64
-	resident bool
-	sessions []Session
-	done     []uint64
-}
-
-// Engine is the durable storage engine. All methods are safe for
-// concurrent use; different partitions never contend.
+// Engine is one node's set of partition state machines plus what they
+// share: the data directory, the Syncer, the boot generation and the
+// fail-stop latch. All methods are safe for concurrent use, and
+// different partitions share no lock — the latch is read atomically.
 type Engine struct {
 	opts  Options
-	parts []engPart
+	parts []Partition
 	gen   uint64 // boot generation: bumped and persisted once per Open
 
-	emu    sync.Mutex
-	err    error // sticky: first IO failure; all later appends refuse
-	closed bool
+	// failure is the sticky latch: the first IO error any append or
+	// compaction hit. Once set, every mutation refuses — the node keeps
+	// reading its state but stops acking. First error wins.
+	failure atomic.Pointer[error]
+	closed  atomic.Bool
 }
 
-// Open creates or recovers an engine over dir: for every partition it
-// loads the snapshot (if any), replays the WAL on top — truncating a
-// torn final record — and keeps the WAL open for appends. Leftover
-// *.tmp files from an interrupted compaction are removed; a snapshot
-// is only ever installed by an atomic rename, so a crash between the
-// rename and the WAL truncation simply replays the whole WAL over the
-// new snapshot, which converges to the same state (every WAL op is a
-// blind last-writer-wins set, so re-applying a suffix that the
-// snapshot already folded in is a no-op).
+var errClosed = errors.New("durable: engine closed")
+
+// Open creates or recovers an engine. With opts.Dir empty it is a
+// memory-mode engine: every partition starts at its birth state and
+// nothing touches disk. Otherwise, for every partition it loads the
+// snapshot (if any), replays the WAL on top — truncating a torn final
+// record — and keeps the WAL open for appends. Leftover *.tmp files
+// from an interrupted compaction are removed; a snapshot is only ever
+// installed by an atomic rename, so a crash between the rename and the
+// WAL truncation simply replays the whole WAL over the new snapshot,
+// which converges to the same state (every WAL op is a blind
+// last-writer-wins set, so re-applying a suffix that the snapshot
+// already folded in is a no-op).
 func Open(opts Options) (*Engine, error) {
 	if opts.Partitions <= 0 {
 		return nil, fmt.Errorf("durable: partitions must be positive, got %d", opts.Partitions)
@@ -170,16 +110,22 @@ func Open(opts Options) (*Engine, error) {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = 1024
 	}
+	e := &Engine{opts: opts, parts: make([]Partition, opts.Partitions)}
+	for p := range e.parts {
+		e.parts[p].init(e, p)
+	}
+	if opts.Dir == "" {
+		return e, nil
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	e := &Engine{opts: opts, parts: make([]engPart, opts.Partitions)}
 	if err := e.bumpGeneration(); err != nil {
 		return nil, err
 	}
 	for p := range e.parts {
-		if err := e.openPartition(p); err != nil {
-			e.closeAll()
+		if err := e.parts[p].recover(); err != nil {
+			_ = e.Close() // the recovery error is the one worth reporting
 			return nil, err
 		}
 	}
@@ -208,26 +154,8 @@ func (e *Engine) bumpGeneration() error {
 		e.gen = binary.LittleEndian.Uint64(buf)
 	}
 	e.gen++
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, e.gen)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := writeFileAtomic(path, binary.LittleEndian.AppendUint64(nil, e.gen), e.opts.Sync); err != nil {
 		return fmt.Errorf("durable: generation write: %w", err)
-	}
-	if _, err := f.Write(out); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: generation write: %w", err)
-	}
-	if err := e.opts.Sync.Sync(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: generation sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: generation close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("durable: generation rename: %w", err)
 	}
 	if err := e.syncDir(); err != nil {
 		return fmt.Errorf("durable: generation dir sync: %w", err)
@@ -235,9 +163,32 @@ func (e *Engine) bumpGeneration() error {
 	return nil
 }
 
+// writeFileAtomic installs data at path all-or-nothing: a temp file is
+// written, synced and closed, then renamed into place. The caller
+// syncs the directory to make the rename itself durable.
+func writeFileAtomic(path string, data []byte, sync Syncer) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := sync.Sync(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // Generation returns the data dir's boot generation: how many times
-// this directory has been Opened, this boot included. It is fixed for
-// the engine's lifetime.
+// this directory has been Opened, this boot included (0 in memory
+// mode). It is fixed for the engine's lifetime.
 func (e *Engine) Generation() uint64 { return e.gen }
 
 func (e *Engine) walPath(p int) string {
@@ -248,335 +199,63 @@ func (e *Engine) snapPath(p int) string {
 	return filepath.Join(e.opts.Dir, fmt.Sprintf("p%04d.snap", p))
 }
 
-// openPartition recovers one partition: snapshot, then WAL replay.
-func (e *Engine) openPartition(p int) error {
-	ps := &e.parts[p]
-	ps.data = make(map[string]mirrorEntry)
-	// A brand-new partition is resident: the cluster starts empty, so
-	// empty content IS authoritative — the same birth semantics as the
-	// in-memory store.
-	ps.resident = true
+// Part returns partition p's state machine.
+func (e *Engine) Part(p int) *Partition { return &e.parts[p] }
 
-	// An interrupted compaction can leave a half-written temp snapshot;
-	// it was never installed, so it is garbage.
-	if err := os.Remove(e.snapPath(p) + ".tmp"); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	if err := loadSnapshot(e.snapPath(p), ps); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(e.walPath(p), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	n, err := replayWAL(f, ps)
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	ps.walRecords = n
-	ps.wal = f
-	return nil
-}
+// Recovered returns partition p's full state: what recovery restored
+// plus every record committed since.
+func (e *Engine) Recovered(p int) PartitionState { return e.parts[p].State() }
 
-// Recovered returns partition p's state as recovery (plus any appends
-// since) left it. Entries come back in ascending key order so callers
-// can rebuild deterministically.
-func (e *Engine) Recovered(p int) PartitionState {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	st := PartitionState{
-		MaxVer:   ps.maxVer,
-		Resident: ps.resident,
-		Sessions: append([]Session(nil), ps.sessions...),
-		Done:     append([]uint64(nil), ps.done...),
-	}
-	keys := make([]string, 0, len(ps.data))
-	for k := range ps.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m := ps.data[k]
-		st.Entries = append(st.Entries, Entry{Key: k, Ver: m.ver, Val: m.val})
-	}
-	return st
-}
-
-// EntriesAbove returns partition p's records with versions strictly
-// above ver, in ascending key order — the snapshot-above-watermark
-// iteration delta transfers freeze from when the target's digest proves
-// its below-watermark content identical. Today the iteration runs over
-// the recovery mirror; it is the seam where a paged (larger-than-RAM)
-// store would stream from the snapshot+WAL pair instead.
-func (e *Engine) EntriesAbove(p int, ver uint64) []Entry {
-	if p < 0 || p >= len(e.parts) {
-		return nil
-	}
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	keys := make([]string, 0, len(ps.data))
-	for k, m := range ps.data {
-		if m.ver > ver {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		m := ps.data[k]
-		out = append(out, Entry{Key: k, Ver: m.ver, Val: m.val})
-	}
-	return out
-}
-
-// Stats returns partition p's WAL and compaction counters.
-func (e *Engine) Stats(p int) PartitionStats {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return PartitionStats{WALRecords: ps.walRecords, Compactions: ps.compactions}
+// AppendPut commits one blind value install: data[key] = {ver, val}
+// and maxVer = max(maxVer, ver), with no version gate and no residency
+// check. The engine keeps val by reference and never mutates it;
+// callers must not either.
+func (e *Engine) AppendPut(p int, key string, ver uint64, val []byte) error {
+	pt := &e.parts[p]
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return pt.commit(&record{op: opPut, key: key, ver: ver, val: val})
 }
 
 // Err returns the engine's sticky failure, if any: the first IO error
-// any append or compaction hit. Once set, every ack-bearing append
-// refuses — the node keeps running but stops claiming durability.
+// any append or compaction hit. Once set, every mutation refuses — the
+// node keeps running but stops claiming durability.
 func (e *Engine) Err() error {
-	e.emu.Lock()
-	defer e.emu.Unlock()
-	return e.err
-}
-
-func (e *Engine) fail(err error) error {
-	e.emu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.emu.Unlock()
-	return err
-}
-
-func (e *Engine) failed() error {
-	e.emu.Lock()
-	defer e.emu.Unlock()
-	if e.closed {
-		return fmt.Errorf("durable: engine closed")
-	}
-	return e.err
-}
-
-// AppendPut records one value install: data[key] = {ver, val} and
-// maxVer = max(maxVer, ver). The engine keeps val by reference and
-// never mutates it; callers must not either.
-func (e *Engine) AppendPut(p int, key string, ver uint64, val []byte) error {
-	rec := appendRecPut(nil, key, ver, val)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data[key] = mirrorEntry{ver: ver, val: val}
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	})
-}
-
-// AppendMaxVer records a version-watermark raise without a value
-// install (the applySync path acking an equal-or-newer replay).
-func (e *Engine) AppendMaxVer(p int, ver uint64) error {
-	rec := appendRecMaxVer(nil, ver)
-	return e.append(p, rec, func(ps *engPart) {
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	})
-}
-
-// AppendDrop records a partition drop: data cleared, residency
-// revoked, maxVer kept (re-adoption must never re-issue versions).
-// Inbound transfer sessions and the done-list clear too — the chunks a
-// live session merged before the drop are gone, so a recovered cursor
-// resuming past them would complete an authoritative partial copy; the
-// store invalidates its runtime session list the same way.
-func (e *Engine) AppendDrop(p int) error {
-	rec := appendRecOp(nil, opDrop)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = false
-		ps.sessions, ps.done = nil, nil
-	})
-}
-
-// AppendReset records an authoritative-empty reseed: data cleared,
-// resident, maxVer kept, sessions invalidated (as in AppendDrop).
-func (e *Engine) AppendReset(p int) error {
-	rec := appendRecOp(nil, opReset)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = true
-		ps.sessions, ps.done = nil, nil
-	})
-}
-
-// AppendResident records a residency grant (snapshot merge completed,
-// or an inbound transfer finished with MarkResident).
-func (e *Engine) AppendResident(p int) error {
-	rec := appendRecOp(nil, opResident)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.resident = true
-	})
-}
-
-// AppendCursor records an inbound transfer session's resume cursor —
-// the record that lets a restarted target continue a chunked transfer
-// where it stopped instead of starting over.
-func (e *Engine) AppendCursor(p int, s Session) error {
-	rec := appendRecCursor(nil, s)
-	return e.append(p, rec, func(ps *engPart) {
-		mirrorCursor(ps, s)
-	})
-}
-
-// AppendSessionDone records an inbound session's completion; the id is
-// remembered so a replayed transfer-begin after completion stays
-// idempotent across restarts.
-func (e *Engine) AppendSessionDone(p int, sid uint64) error {
-	rec := appendRecDone(nil, sid)
-	return e.append(p, rec, func(ps *engPart) {
-		mirrorDone(ps, sid)
-	})
-}
-
-func mirrorCursor(ps *engPart, s Session) {
-	for i := range ps.sessions {
-		if ps.sessions[i].ID == s.ID {
-			ps.sessions[i] = s
-			return
-		}
-	}
-	ps.sessions = append(ps.sessions, s)
-	if len(ps.sessions) > maxSessions {
-		ps.sessions = ps.sessions[len(ps.sessions)-maxSessions:]
-	}
-}
-
-func mirrorDone(ps *engPart, sid uint64) {
-	for i := range ps.sessions {
-		if ps.sessions[i].ID == sid {
-			ps.sessions = append(ps.sessions[:i], ps.sessions[i+1:]...)
-			break
-		}
-	}
-	ps.done = append(ps.done, sid)
-	if len(ps.done) > maxDone {
-		ps.done = ps.done[len(ps.done)-maxDone:]
-	}
-}
-
-// append writes one framed record, syncs it, applies the mirror
-// update, and compacts if the record count tripped the threshold (and
-// no hold defers it). Any IO failure is sticky: the mutation is NOT
-// applied to the mirror and the caller must not ack.
-func (e *Engine) append(p int, rec []byte, apply func(*engPart)) error {
-	if err := e.failed(); err != nil {
-		return err
-	}
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, err := ps.wal.Write(rec); err != nil {
-		return e.fail(fmt.Errorf("durable: partition %d: wal append: %w", p, err))
-	}
-	if err := e.opts.Sync.Sync(ps.wal); err != nil {
-		return e.fail(fmt.Errorf("durable: partition %d: wal sync: %w", p, err))
-	}
-	ps.walRecords++
-	apply(ps)
-	if ps.walRecords >= e.opts.CompactEvery {
-		if ps.holds > 0 {
-			ps.pending = true
-		} else if err := e.compactLocked(p, ps); err != nil {
-			return e.fail(err)
-		}
+	if p := e.failure.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
 
-// Hold defers partition p's compaction: an outbound transfer session
-// froze the partition's state and the WAL+snapshot pair backing it
-// must not be rewritten underneath. Holds nest.
-func (e *Engine) Hold(p int) {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	ps.holds++
-	ps.mu.Unlock()
+func (e *Engine) fail(err error) error {
+	e.failure.CompareAndSwap(nil, &err)
+	return err
 }
 
-// Release undoes one Hold; when the last hold clears and a compaction
-// was deferred meanwhile, it runs now.
-func (e *Engine) Release(p int) {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.holds > 0 {
-		ps.holds--
+// failed is the hot-path latch check: two atomic loads, no lock shared
+// between partitions.
+func (e *Engine) failed() error {
+	if e.closed.Load() {
+		return errClosed
 	}
-	// ps.wal is nil once Close ran: a straggling release (e.g. a
-	// transfer pump racing a shutdown) must not run the deferred
-	// compaction against closed files.
-	if ps.holds == 0 && ps.pending && ps.wal != nil {
-		ps.pending = false
-		if err := e.compactLocked(p, ps); err != nil {
-			_ = e.fail(err)
-		}
-	}
+	return e.Err()
 }
 
 // Compact folds partition p's WAL into its snapshot immediately,
 // regardless of the record threshold (holds still defer). Tests and
 // shutdown paths use it; steady-state compaction happens automatically
-// via CompactEvery.
+// via CompactEvery. A memory-mode engine has nothing to fold.
 func (e *Engine) Compact(p int) error {
 	if err := e.failed(); err != nil {
 		return err
 	}
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.holds > 0 {
-		ps.pending = true
+	pt := &e.parts[p]
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.wal == nil {
 		return nil
 	}
-	if err := e.compactLocked(p, ps); err != nil {
-		return e.fail(err)
-	}
-	return nil
-}
-
-// compactLocked writes the mirror to a temp snapshot, atomically
-// renames it into place, and truncates the WAL. Crash windows: before
-// the rename the temp file is garbage (removed at next open); between
-// rename and truncation recovery replays the full WAL over the new
-// snapshot, which is idempotent (see Open).
-func (e *Engine) compactLocked(p int, ps *engPart) error {
-	path := e.snapPath(p)
-	if err := writeSnapshot(path, ps, e.opts.Sync); err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	if err := e.syncDir(); err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	if err := ps.wal.Truncate(0); err != nil {
-		return fmt.Errorf("durable: partition %d: wal truncate: %w", p, err)
-	}
-	if _, err := ps.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("durable: partition %d: wal seek: %w", p, err)
-	}
-	if err := e.opts.Sync.Sync(ps.wal); err != nil {
-		return fmt.Errorf("durable: partition %d: wal sync: %w", p, err)
-	}
-	ps.walRecords = 0
-	ps.compactions++
-	return nil
+	return pt.compactUnlessHeld()
 }
 
 // syncDir makes a snapshot rename durable (directory metadata).
@@ -596,34 +275,26 @@ func (e *Engine) syncDir() error {
 	return cerr
 }
 
-// Close releases every file handle. It does NOT compact: recovery
-// must work from whatever snapshot+WAL pair is on disk at any instant,
-// and a shutdown that exercised that path is a shutdown that proved
-// it. Close after Close (or after a crash-simulation close) is a
-// no-op.
+// Close latches the engine closed — every later mutation refuses — and
+// releases every file handle. It does NOT compact: recovery must work
+// from whatever snapshot+WAL pair is on disk at any instant, and a
+// shutdown that exercised that path is a shutdown that proved it.
+// Close after Close (or after a crash-simulation close) is a no-op.
 func (e *Engine) Close() error {
-	e.emu.Lock()
-	if e.closed {
-		e.emu.Unlock()
+	if e.closed.Swap(true) {
 		return nil
 	}
-	e.closed = true
-	e.emu.Unlock()
-	return e.closeAll()
-}
-
-func (e *Engine) closeAll() error {
 	var first error
 	for p := range e.parts {
-		ps := &e.parts[p]
-		ps.mu.Lock()
-		if ps.wal != nil {
-			if err := ps.wal.Close(); err != nil && first == nil {
+		pt := &e.parts[p]
+		pt.mu.Lock()
+		if pt.wal != nil {
+			if err := pt.wal.Close(); err != nil && first == nil {
 				first = err
 			}
-			ps.wal = nil
+			pt.wal = nil
 		}
-		ps.mu.Unlock()
+		pt.mu.Unlock()
 	}
 	return first
 }

@@ -15,6 +15,15 @@ func openTest(t *testing.T, dir string, compactEvery int) *Engine {
 	return e
 }
 
+// step commits one raw record to partition p — the tests' way to drive
+// single ops the public API only reaches through a protocol method.
+func step(e *Engine, p int, r record) error {
+	pt := e.Part(p)
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return pt.commit(&r)
+}
+
 func mustAppend(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -68,13 +77,13 @@ func TestRecoverRoundTrip(t *testing.T) {
 	e := openTest(t, dir, 1024)
 	mustAppend(t, e.AppendPut(0, "a", 5, []byte("va")))
 	mustAppend(t, e.AppendPut(0, "b", 6, []byte("vb")))
-	mustAppend(t, e.AppendPut(0, "a", 9, []byte("va2"))) // overwrite
-	mustAppend(t, e.AppendMaxVer(0, 40))                 // watermark-only raise
-	mustAppend(t, e.AppendDrop(1))                       // partition 1 dropped
+	mustAppend(t, e.AppendPut(0, "a", 9, []byte("va2")))     // overwrite
+	mustAppend(t, step(e, 0, record{op: opMaxVer, ver: 40})) // watermark-only raise
+	mustAppend(t, step(e, 1, record{op: opDrop}))            // partition 1 dropped
 	mustAppend(t, e.AppendPut(2, "k", 3, []byte("v")))
-	mustAppend(t, e.AppendReset(2)) // ...then reseeded empty
-	mustAppend(t, e.AppendCursor(3, Session{ID: 77, Next: 2, Total: 5, MarkResident: true}))
-	mustAppend(t, e.AppendSessionDone(3, 42))
+	mustAppend(t, step(e, 2, record{op: opReset})) // ...then reseeded empty
+	mustAppend(t, step(e, 3, record{op: opCursor, sess: Session{ID: 77, Next: 2, Total: 5, MarkResident: true}}))
+	mustAppend(t, step(e, 3, record{op: opDone, sess: Session{ID: 42}}))
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -108,12 +117,12 @@ func TestRecoverRoundTrip(t *testing.T) {
 func TestDropClearsSessionState(t *testing.T) {
 	dir := t.TempDir()
 	e := openTest(t, dir, 1024)
-	mustAppend(t, e.AppendCursor(0, Session{ID: 7, Next: 2, Total: 5, MarkResident: true}))
-	mustAppend(t, e.AppendSessionDone(0, 9))
-	mustAppend(t, e.AppendDrop(0))
+	mustAppend(t, step(e, 0, record{op: opCursor, sess: Session{ID: 7, Next: 2, Total: 5, MarkResident: true}}))
+	mustAppend(t, step(e, 0, record{op: opDone, sess: Session{ID: 9}}))
+	mustAppend(t, step(e, 0, record{op: opDrop}))
 	expectState(t, e, 0, PartitionState{Resident: false})
-	mustAppend(t, e.AppendCursor(1, Session{ID: 8, Next: 1, Total: 2}))
-	mustAppend(t, e.AppendReset(1))
+	mustAppend(t, step(e, 1, record{op: opCursor, sess: Session{ID: 8, Next: 1, Total: 2}}))
+	mustAppend(t, step(e, 1, record{op: opReset}))
 	expectState(t, e, 1, PartitionState{Resident: true})
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -161,7 +170,7 @@ func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 		}
 
 		// Manufacture the torn append: a record prefix without its suffix.
-		torn := appendRecPut(nil, "torn", 3, []byte("never-acked"))
+		torn := appendRecord(nil, &record{op: opPut, key: "torn", ver: 3, val: []byte("never-acked")})
 		path := filepath.Join(dir, "p0000.wal")
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -205,7 +214,7 @@ func TestCompactionTriggersAndPreservesState(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAppend(t, e.AppendPut(0, "k"+string(rune('a'+i)), uint64(i+1), []byte{byte(i)}))
 	}
-	st := e.Stats(0)
+	st := e.Part(0).Stats()
 	if st.Compactions != 2 {
 		t.Fatalf("compactions = %d, want 2 (10 appends at CompactEvery=4)", st.Compactions)
 	}
@@ -230,21 +239,24 @@ func TestCompactionTriggersAndPreservesState(t *testing.T) {
 // installed snapshot with the full un-truncated WAL still behind it
 // (crash between rename and truncation). Recovery must converge to the
 // exact pre-crash state in both — including across a drop/re-put
-// sequence, where blind WAL replay over the already-folded snapshot
-// transiently resurrects and re-clears records.
+// sequence and a finished session, where blind WAL replay over the
+// already-folded snapshot transiently resurrects and re-clears records
+// and must not remember the completed id twice.
 func TestCrashDuringCompactionReplays(t *testing.T) {
 	dir := t.TempDir()
 	e := openTest(t, dir, 1024)
 	mustAppend(t, e.AppendPut(0, "x", 1, []byte("old")))
-	mustAppend(t, e.AppendDrop(0))
+	mustAppend(t, step(e, 0, record{op: opDrop}))
 	mustAppend(t, e.AppendPut(0, "y", 7, []byte("new")))
-	mustAppend(t, e.AppendResident(0))
+	mustAppend(t, step(e, 0, record{op: opResident}))
+	mustAppend(t, step(e, 0, record{op: opCursor, sess: Session{ID: 5, Next: 1, Total: 1}}))
+	mustAppend(t, step(e, 0, record{op: opDone, sess: Session{ID: 5}}))
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	want := PartitionState{
 		Entries: []Entry{{Key: "y", Ver: 7, Val: []byte("new")}},
-		MaxVer:  7, Resident: true,
+		MaxVer:  7, Resident: true, Done: []uint64{5},
 	}
 
 	walPath := filepath.Join(dir, "p0000.wal")
@@ -296,20 +308,20 @@ func TestHoldDefersCompaction(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	}()
-	e.Hold(0)
-	e.Hold(0) // holds nest
+	e.Part(0).Hold()
+	e.Part(0).Hold() // holds nest
 	for i := 0; i < 6; i++ {
 		mustAppend(t, e.AppendPut(0, "k", uint64(i+1), []byte("v")))
 	}
-	if st := e.Stats(0); st.Compactions != 0 || st.WALRecords != 6 {
+	if st := e.Part(0).Stats(); st.Compactions != 0 || st.WALRecords != 6 {
 		t.Fatalf("held partition compacted anyway: %+v", st)
 	}
-	e.Release(0)
-	if st := e.Stats(0); st.Compactions != 0 {
+	e.Part(0).Release()
+	if st := e.Part(0).Stats(); st.Compactions != 0 {
 		t.Fatalf("compaction ran with a hold still out: %+v", st)
 	}
-	e.Release(0)
-	if st := e.Stats(0); st.Compactions != 1 || st.WALRecords != 0 {
+	e.Part(0).Release()
+	if st := e.Part(0).Stats(); st.Compactions != 1 || st.WALRecords != 0 {
 		t.Fatalf("deferred compaction did not run on last release: %+v", st)
 	}
 }
@@ -330,8 +342,8 @@ func TestAppendAfterCloseRefuses(t *testing.T) {
 
 // TestEntriesAboveFiltersAndSorts pins the delta-transfer fast path:
 // EntriesAbove returns exactly the records with versions strictly
-// above the watermark, sorted by key, and an out-of-range or dropped
-// partition yields nothing.
+// above the watermark, sorted by key, together with the partition's
+// watermark, and a dropped partition yields nothing.
 func TestEntriesAboveFiltersAndSorts(t *testing.T) {
 	e := openTest(t, t.TempDir(), 1024)
 	defer func() {
@@ -343,30 +355,28 @@ func TestEntriesAboveFiltersAndSorts(t *testing.T) {
 	mustAppend(t, e.AppendPut(0, "a", 10, []byte("va")))
 	mustAppend(t, e.AppendPut(0, "b", 7, []byte("vb")))
 	mustAppend(t, e.AppendPut(0, "d", 7, []byte("vd"))) // exactly at the watermark: excluded
+	pt := e.Part(0)
 
 	// "b" and "d" sit exactly at the watermark: strictly-above excludes them.
-	got := e.EntriesAbove(0, 7)
+	got, maxVer := pt.EntriesAbove(7)
 	want := []Entry{{Key: "a", Ver: 10, Val: []byte("va")}}
-	if len(got) != len(want) {
-		t.Fatalf("EntriesAbove(0, 7) = %v, want %v", got, want)
+	if len(got) != len(want) || maxVer != 10 {
+		t.Fatalf("EntriesAbove(7) = %v maxVer %d, want %v maxVer 10", got, maxVer, want)
 	}
 	for i := range want {
 		if got[i].Key != want[i].Key || got[i].Ver != want[i].Ver || string(got[i].Val) != string(want[i].Val) {
 			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if all := e.EntriesAbove(0, 0); len(all) != 4 ||
+	if all, _ := pt.EntriesAbove(0); len(all) != 4 ||
 		all[0].Key != "a" || all[1].Key != "b" || all[2].Key != "c" || all[3].Key != "d" {
-		t.Errorf("EntriesAbove(0, 0) = %v, want all four entries sorted by key", all)
+		t.Errorf("EntriesAbove(0) = %v, want all four entries sorted by key", all)
 	}
-	if got := e.EntriesAbove(0, 10); len(got) != 0 {
-		t.Errorf("EntriesAbove(0, 10) = %v, want none (nothing strictly above the max)", got)
+	if got, _ := pt.EntriesAbove(10); len(got) != 0 {
+		t.Errorf("EntriesAbove(10) = %v, want none (nothing strictly above the max)", got)
 	}
-	mustAppend(t, e.AppendDrop(0))
-	if got := e.EntriesAbove(0, 0); len(got) != 0 {
-		t.Errorf("EntriesAbove after drop = %v, want none", got)
-	}
-	if got := e.EntriesAbove(-1, 0); got != nil {
-		t.Errorf("EntriesAbove(-1, 0) = %v, want nil", got)
+	pt.Drop()
+	if got, maxVer := pt.Entries(); len(got) != 0 || maxVer != 10 {
+		t.Errorf("after drop: entries %v maxVer %d, want none and the watermark kept", got, maxVer)
 	}
 }

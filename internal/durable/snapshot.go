@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
 )
 
 // Snapshot file format (one file per partition, installed only by an
@@ -24,72 +23,36 @@ import (
 
 var snapMagic = []byte{'R', 'F', 'H', 'S', 1}
 
-// writeSnapshot serialises ps to path via a temp file + rename.
-func writeSnapshot(path string, ps *engPart, sync Syncer) error {
-	buf := append([]byte(nil), snapMagic...)
-	buf = binary.AppendUvarint(buf, ps.maxVer)
-	if ps.resident {
+// appendSnapshot encodes pt's logical state as a snapshot file image.
+func appendSnapshot(buf []byte, pt *Partition) []byte {
+	buf = append(buf, snapMagic...)
+	buf = binary.AppendUvarint(buf, pt.maxVer)
+	if pt.resident {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	keys := make([]string, 0, len(ps.data))
-	for k := range ps.data {
-		keys = append(keys, k)
+	entries := pt.entriesAbove(0, true)
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = appendEntry(buf, e.Key, e.Ver, e.Val)
 	}
-	sort.Strings(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		m := ps.data[k]
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, m.ver)
-		buf = binary.AppendUvarint(buf, uint64(len(m.val)))
-		buf = append(buf, m.val...)
+	buf = binary.AppendUvarint(buf, uint64(len(pt.sessions)))
+	for _, s := range pt.sessions {
+		buf = appendSession(buf, s)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ps.sessions)))
-	for _, s := range ps.sessions {
-		buf = binary.AppendUvarint(buf, s.ID)
-		buf = binary.AppendUvarint(buf, uint64(s.Next))
-		buf = binary.AppendUvarint(buf, uint64(s.Total))
-		if s.MarkResident {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ps.done)))
-	for _, sid := range ps.done {
+	buf = binary.AppendUvarint(buf, uint64(len(pt.done)))
+	for _, sid := range pt.done {
 		buf = binary.AppendUvarint(buf, sid)
 	}
-	sum := make([]byte, 4)
-	binary.LittleEndian.PutUint32(sum, crc32.ChecksumIEEE(buf))
-	buf = append(buf, sum...)
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := sync.Sync(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// loadSnapshot restores ps from path; a missing file means "no
-// snapshot yet" and leaves ps at its birth state. A present-but-corrupt
+// loadSnapshot restores pt from path; a missing file means "no
+// snapshot yet" and leaves pt at its birth state. A present-but-corrupt
 // snapshot is real corruption (installs are atomic), so it fails
 // loudly rather than silently serving partial state.
-func loadSnapshot(path string, ps *engPart) error {
+func loadSnapshot(path string, pt *Partition) error {
 	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -97,52 +60,55 @@ func loadSnapshot(path string, ps *engPart) error {
 	if err != nil {
 		return fmt.Errorf("durable: snapshot read: %w", err)
 	}
+	if err := decodeSnapshot(buf, pt); err != nil {
+		return fmt.Errorf("durable: snapshot %s: %w", path, err)
+	}
+	return nil
+}
+
+// decodeSnapshot replays a snapshot image into pt as a sequence of
+// apply steps — the file is a compacted log, and loading it is the same
+// state machine the WAL drives.
+func decodeSnapshot(buf []byte, pt *Partition) error {
 	if len(buf) < len(snapMagic)+4 {
-		return fmt.Errorf("durable: snapshot %s truncated (%d bytes)", path, len(buf))
+		return fmt.Errorf("truncated (%d bytes)", len(buf))
 	}
 	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return fmt.Errorf("durable: snapshot %s checksum mismatch", path)
+		return fmt.Errorf("checksum mismatch")
 	}
-	for i, b := range snapMagic {
-		if body[i] != b {
-			return fmt.Errorf("durable: snapshot %s has bad magic", path)
-		}
+	if string(body[:len(snapMagic)]) != string(snapMagic) {
+		return fmt.Errorf("bad magic")
 	}
 	r := recReader{buf: body[len(snapMagic):]}
-	ps.maxVer = r.uvarint()
-	ps.resident = r.byte() == 1
-	n := int(r.uvarint())
-	for i := 0; i < n && r.err == nil; i++ {
-		key := string(r.bytes())
-		ver := r.uvarint()
-		val := r.bytes()
-		if r.err != nil {
-			break
-		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		ps.data[key] = mirrorEntry{ver: ver, val: v}
+	pt.apply(&record{op: opMaxVer, ver: r.uvarint()})
+	if r.byte() == 1 {
+		pt.apply(&record{op: opResident})
+	} else {
+		pt.apply(&record{op: opRevoke})
 	}
-	sn := int(r.uvarint())
-	for i := 0; i < sn && r.err == nil; i++ {
-		s := Session{ID: r.uvarint()}
-		s.Next = uint32(r.uvarint())
-		s.Total = uint32(r.uvarint())
-		s.MarkResident = r.byte() == 1
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		rec := record{op: opPut}
+		rec.key, rec.ver, rec.val = r.entry()
 		if r.err == nil {
-			ps.sessions = append(ps.sessions, s)
+			pt.apply(&rec)
 		}
 	}
-	dn := int(r.uvarint())
-	for i := 0; i < dn && r.err == nil; i++ {
-		ps.done = append(ps.done, r.uvarint())
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		if s := r.session(); r.err == nil {
+			pt.apply(&record{op: opCursor, sess: s})
+		}
+	}
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		if sid := r.uvarint(); r.err == nil {
+			pt.apply(&record{op: opDone, sess: Session{ID: sid}})
+		}
 	}
 	if r.err != nil {
-		return fmt.Errorf("durable: snapshot %s malformed: %w", path, r.err)
+		return fmt.Errorf("malformed: %w", r.err)
 	}
 	if len(r.buf) != 0 {
-		return fmt.Errorf("durable: snapshot %s has %d trailing bytes", path, len(r.buf))
+		return fmt.Errorf("%d trailing bytes", len(r.buf))
 	}
 	return nil
 }

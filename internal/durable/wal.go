@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -15,14 +14,14 @@ import (
 // with payload = op byte + op-specific fields (uvarint-encoded, keys
 // and values length-prefixed). One WAL file per partition, so records
 // carry no partition field. A record whose header, body or checksum is
-// incomplete marks the torn tail of an interrupted append: replay
-// truncates the file back to the last intact record and resumes
-// appending from there — the torn suffix was never acked, so cutting
-// it is correct, not lossy.
+// incomplete at the END of the file marks the torn tail of an
+// interrupted append: replay truncates the file back to the last
+// intact record and resumes appending from there — the torn suffix was
+// never acked, so cutting it is correct, not lossy. The same damage
+// with an intact record after it is not a crashed append — something
+// rewrote acked bytes — and recovery refuses it.
 
-// WAL op codes. All ops are blind last-writer-wins sets over the
-// partition state, which is what makes replaying a WAL suffix that a
-// snapshot already folded in idempotent.
+// WAL op codes; Partition.apply is their meaning.
 const (
 	opPut      byte = 1 // key, ver, val: install + raise maxVer
 	opMaxVer   byte = 2 // ver: raise maxVer only
@@ -31,6 +30,7 @@ const (
 	opResident byte = 5 // resident=true
 	opCursor   byte = 6 // sid, next, total, mark: inbound session cursor
 	opDone     byte = 7 // sid: inbound session completed
+	opRevoke   byte = 8 // resident=false, data and sessions kept (rejoin)
 )
 
 // walHeaderLen is the per-record frame header: length + checksum.
@@ -41,157 +41,143 @@ const walHeaderLen = 8
 // transport would ever have carried in.
 const maxRecord = 64 << 20
 
-func frameRecord(payload []byte) []byte {
-	rec := make([]byte, walHeaderLen, walHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+// appendRecord frames and encodes r onto dst.
+func appendRecord(dst []byte, r *record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, walHeaderLen)...)
+	dst = append(dst, r.op)
+	switch r.op {
+	case opPut:
+		dst = appendEntry(dst, r.key, r.ver, r.val)
+	case opMaxVer:
+		dst = binary.AppendUvarint(dst, r.ver)
+	case opCursor:
+		dst = appendSession(dst, r.sess)
+	case opDone:
+		dst = binary.AppendUvarint(dst, r.sess.ID)
+	}
+	payload := dst[start+walHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
-func appendRecPut(dst []byte, key string, ver uint64, val []byte) []byte {
-	p := []byte{opPut}
-	p = binary.AppendUvarint(p, uint64(len(key)))
-	p = append(p, key...)
-	p = binary.AppendUvarint(p, ver)
-	p = binary.AppendUvarint(p, uint64(len(val)))
-	p = append(p, val...)
-	return append(dst, frameRecord(p)...)
+// appendEntry and appendSession are the field encodings WAL records
+// and snapshot files share; recReader.entry and .session invert them.
+func appendEntry(dst []byte, key string, ver uint64, val []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, ver)
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
+	return append(dst, val...)
 }
 
-func appendRecMaxVer(dst []byte, ver uint64) []byte {
-	p := []byte{opMaxVer}
-	p = binary.AppendUvarint(p, ver)
-	return append(dst, frameRecord(p)...)
-}
-
-func appendRecOp(dst []byte, op byte) []byte {
-	return append(dst, frameRecord([]byte{op})...)
-}
-
-func appendRecCursor(dst []byte, s Session) []byte {
-	p := []byte{opCursor}
-	p = binary.AppendUvarint(p, s.ID)
-	p = binary.AppendUvarint(p, uint64(s.Next))
-	p = binary.AppendUvarint(p, uint64(s.Total))
-	mark := byte(0)
+func appendSession(dst []byte, s Session) []byte {
+	dst = binary.AppendUvarint(dst, s.ID)
+	dst = binary.AppendUvarint(dst, uint64(s.Next))
+	dst = binary.AppendUvarint(dst, uint64(s.Total))
 	if s.MarkResident {
-		mark = 1
+		return append(dst, 1)
 	}
-	p = append(p, mark)
-	return append(dst, frameRecord(p)...)
+	return append(dst, 0)
 }
 
-func appendRecDone(dst []byte, sid uint64) []byte {
-	p := []byte{opDone}
-	p = binary.AppendUvarint(p, sid)
-	return append(dst, frameRecord(p)...)
+// decodeRecord parses one payload. A crc-clean record with an unknown
+// op or malformed fields is corruption, not a torn tail, and recovery
+// fails loudly on it.
+func decodeRecord(payload []byte) (record, error) {
+	r := recReader{buf: payload[1:]}
+	rec := record{op: payload[0]}
+	switch rec.op {
+	case opPut:
+		rec.key, rec.ver, rec.val = r.entry()
+	case opMaxVer:
+		rec.ver = r.uvarint()
+	case opDrop, opReset, opResident, opRevoke:
+	case opCursor:
+		rec.sess = r.session()
+	case opDone:
+		rec.sess.ID = r.uvarint()
+	default:
+		return rec, fmt.Errorf("unknown wal op %d", rec.op)
+	}
+	if r.err != nil {
+		return rec, fmt.Errorf("malformed wal record op %d: %w", rec.op, r.err)
+	}
+	return rec, nil
 }
 
-// replayWAL reads f from the start, applies every intact record to ps,
-// truncates any torn tail, and leaves f positioned for appending. It
-// returns the number of records replayed.
-func replayWAL(f *os.File, ps *engPart) (int, error) {
-	buf, err := io.ReadAll(f)
-	if err != nil {
-		return 0, fmt.Errorf("durable: wal read: %w", err)
+// frameAt reports the length of the intact record starting at buf[0]:
+// a complete header, a non-empty in-bounds body and a matching
+// checksum. ok=false is a torn or corrupt frame.
+func frameAt(buf []byte) (n int, ok bool) {
+	if len(buf) < walHeaderLen {
+		return 0, false
 	}
-	records, good := 0, 0
-	off := 0
-	for {
-		rest := buf[off:]
-		if len(rest) == 0 {
-			good = off
+	n = int(binary.LittleEndian.Uint32(buf[0:4]))
+	if n == 0 || n > maxRecord || len(buf) < walHeaderLen+n {
+		return 0, false
+	}
+	payload := buf[walHeaderLen : walHeaderLen+n]
+	return n, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(buf[4:8])
+}
+
+// replayRecords applies every intact record of a WAL image to pt and
+// returns how many there were and where the intact prefix ends. A bad
+// frame with nothing intact after it is the torn tail (good < len(buf),
+// no error); a bad frame FOLLOWED by an intact record is mid-log
+// corruption — acked data would be silently dropped by truncating
+// there, so it is an error naming the offset.
+func replayRecords(buf []byte, pt *Partition) (records, good int, err error) {
+	for good < len(buf) {
+		n, ok := frameAt(buf[good:])
+		if !ok {
+			for next := good + 1; next < len(buf); next++ {
+				if _, ok := frameAt(buf[next:]); ok {
+					return 0, 0, fmt.Errorf("wal corrupt at offset %d (an intact record follows at %d)", good, next)
+				}
+			}
 			break
 		}
-		if len(rest) < walHeaderLen {
-			break // torn header
+		rec, err := decodeRecord(buf[good+walHeaderLen : good+walHeaderLen+n])
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal offset %d: %w", good, err)
 		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxRecord || len(rest) < walHeaderLen+n {
-			break // torn or corrupt body
-		}
-		payload := rest[walHeaderLen : walHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
-			break // torn checksum (partial overwrite)
-		}
-		if err := applyRecord(ps, payload); err != nil {
-			return 0, err
-		}
+		pt.apply(&rec)
 		records++
-		off += walHeaderLen + n
-		good = off
+		good += walHeaderLen + n
+	}
+	return records, good, nil
+}
+
+// replayWAL replays the WAL file at path into pt, truncates any torn
+// tail, and returns the file open in append mode (every write lands at
+// the current end, also after compaction truncates it) plus the number
+// of records replayed.
+func replayWAL(path string, pt *Partition) (*os.File, int, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, 0, fmt.Errorf("wal read: %w", err)
+	}
+	records, good, err := replayRecords(buf, pt)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, err
 	}
 	if good != len(buf) {
 		if err := f.Truncate(int64(good)); err != nil {
-			return 0, fmt.Errorf("durable: wal truncate torn tail: %w", err)
+			_ = f.Close()
+			return nil, 0, fmt.Errorf("wal truncate torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		return 0, fmt.Errorf("durable: wal seek: %w", err)
-	}
-	return records, nil
+	return f, records, nil
 }
 
-// applyRecord replays one decoded payload into the mirror.
-func applyRecord(ps *engPart, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("durable: empty wal record")
-	}
-	r := recReader{buf: payload[1:]}
-	switch payload[0] {
-	case opPut:
-		key := r.bytes()
-		ver := r.uvarint()
-		val := r.bytes()
-		if r.err != nil {
-			break
-		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		ps.data[string(key)] = mirrorEntry{ver: ver, val: v}
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	case opMaxVer:
-		ver := r.uvarint()
-		if r.err == nil && ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	case opDrop:
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = false
-		ps.sessions, ps.done = nil, nil
-	case opReset:
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = true
-		ps.sessions, ps.done = nil, nil
-	case opResident:
-		ps.resident = true
-	case opCursor:
-		s := Session{ID: r.uvarint()}
-		s.Next = uint32(r.uvarint())
-		s.Total = uint32(r.uvarint())
-		s.MarkResident = r.byte() == 1
-		if r.err == nil {
-			mirrorCursor(ps, s)
-		}
-	case opDone:
-		sid := r.uvarint()
-		if r.err == nil {
-			mirrorDone(ps, sid)
-		}
-	default:
-		return fmt.Errorf("durable: unknown wal op %d", payload[0])
-	}
-	if r.err != nil {
-		return fmt.Errorf("durable: malformed wal record op %d: %w", payload[0], r.err)
-	}
-	return nil
-}
-
-// recReader decodes a record payload with a sticky error — a crc-clean
-// record with malformed fields is corruption, not a torn tail, and
-// recovery fails loudly on it.
+// recReader decodes record and snapshot fields with a sticky error.
+// Values are copied out of the file image so the image can be freed.
 type recReader struct {
 	buf []byte
 	err error
@@ -235,4 +221,21 @@ func (r *recReader) byte() byte {
 	b := r.buf[0]
 	r.buf = r.buf[1:]
 	return b
+}
+
+func (r *recReader) entry() (key string, ver uint64, val []byte) {
+	key = string(r.bytes())
+	ver = r.uvarint()
+	b := r.bytes()
+	val = make([]byte, len(b))
+	copy(val, b)
+	return key, ver, val
+}
+
+func (r *recReader) session() Session {
+	s := Session{ID: r.uvarint()}
+	s.Next = uint32(r.uvarint())
+	s.Total = uint32(r.uvarint())
+	s.MarkResident = r.byte() == 1
+	return s
 }

@@ -1,9 +1,9 @@
 package node
 
 import (
-	"encoding/binary"
 	"sort"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -28,133 +28,34 @@ import (
 // replay, duplicate or delay arbitrarily, which is what the chaos
 // fault plane does to it.
 
-// Tree shape: aeTop top-level buckets of aeFanout sub-buckets each.
-// The top digest (64 × 8 bytes) rides the stats broadcast; sub-leaf
-// vectors only move for divergent top buckets, and keylists only for
-// divergent sub-buckets, so payloads shrink geometrically with each
-// round. With a uniform key hash a single divergent key dirties one
-// sub-bucket holding ~1/4096th of the partition's keys.
+// The tree itself lives beside the partition state it digests
+// (durable.AETree, maintained by the state machine's one apply path);
+// the pull walk and the wire codecs use these names for its shape.
 const (
-	aeTop      = 64
-	aeFanout   = 64
+	aeTop      = durable.AETop
+	aeFanout   = durable.AEFanout
 	aeSubCount = aeTop * aeFanout
 )
 
-// fnv-1a 64 parameters, written out because the tree hashes millions
-// of entries in the bench path and the stdlib hash.Hash64 interface
-// would allocate per entry.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// aeSub and aeBucket map a key to its sub-bucket and top-level bucket.
+func aeSub(key string) int    { return durable.AESub(key) }
+func aeBucket(key string) int { return durable.AEBucket(key) }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// aeSub maps a key to its sub-bucket. Deliberately NOT ring.HashString:
-// partition membership is already a function of the ring hash, and
-// deriving buckets from the same value would correlate bucket occupancy
-// with partition assignment instead of spreading a partition's keys
-// uniformly across its own tree.
-func aeSub(key string) int {
-	return int(fnvString(fnvOffset, key) % aeSubCount)
-}
-
-// aeBucket maps a key to its top-level bucket (its sub-bucket's group).
-func aeBucket(key string) int {
-	return aeSub(key) / aeFanout
-}
-
-// aeEntryHash digests one (key, version, value) record. The version
-// sits between key and value with a fixed width, so no two distinct
-// records can collide by concatenation ambiguity.
-func aeEntryHash(key string, ver uint64, val []byte) uint64 {
-	h := fnvString(fnvOffset, key)
-	var vb [8]byte
-	binary.BigEndian.PutUint64(vb[:], ver)
-	h = fnvBytes(h, vb[:])
-	return fnvBytes(h, val)
-}
-
-// AETree is one partition's anti-entropy digest: aeSubCount sub-bucket
-// leaves, each holding the XOR of its entries' record hashes, plus the
-// aeTop top-level buckets maintained as the XOR of their sub-leaves.
-// XOR makes every level order-independent and incrementally
-// maintainable — applying the same record twice removes it, so an
-// update is Apply(old) followed by Apply(new), O(1) per write. Exported
-// (with NewAETree/Apply/Root) so rfhbench can hold the digest cost on a
-// committed leash.
-type AETree struct {
-	sub [aeSubCount]uint64
-	top [aeTop]uint64
-}
+// AETree is one partition's anti-entropy digest. Exported (with
+// NewAETree/Apply/Root) so the benchmark ledger can hold the digest
+// cost on a committed leash.
+type AETree = durable.AETree
 
 // NewAETree returns an empty tree (the digest of an empty partition).
 func NewAETree() *AETree { return &AETree{} }
 
-// Apply XORs one record into its sub-bucket and the covering top
-// bucket: call once to add a record, again with identical arguments to
-// remove it.
-func (t *AETree) Apply(key string, ver uint64, val []byte) {
-	h := aeEntryHash(key, ver, val)
-	s := aeSub(key)
-	t.sub[s] ^= h
-	t.top[s/aeFanout] ^= h
-}
-
-// Leaves returns the top-level hash vector (a copy; the piggybacked
-// wire payload).
-func (t *AETree) Leaves() []uint64 {
-	out := make([]uint64, aeTop)
-	copy(out, t.top[:])
-	return out
-}
-
-// SubLeaves returns the sub-leaf vector of one top-level bucket (a
-// copy; the KindAEDigest request payload).
-func (t *AETree) SubLeaves(top int) []uint64 {
-	out := make([]uint64, aeFanout)
-	copy(out, t.sub[top*aeFanout:(top+1)*aeFanout])
-	return out
-}
-
-// Root folds the top leaves pairwise up to the 8-byte root. The fold is
-// order-sensitive (unlike the leaves), so two trees agreeing on the
-// root agree on the whole top vector with hash-level confidence.
-func (t *AETree) Root() uint64 {
-	var lvl [aeTop]uint64
-	copy(lvl[:], t.top[:])
-	for n := aeTop; n > 1; n /= 2 {
-		for i := 0; i < n/2; i++ {
-			var b [16]byte
-			binary.BigEndian.PutUint64(b[:8], lvl[2*i])
-			binary.BigEndian.PutUint64(b[8:], lvl[2*i+1])
-			lvl[i] = fnvBytes(fnvOffset, b[:])
-		}
-	}
-	return lvl[0]
-}
-
 // buildAETree digests an entry block (the canonical snapshotEntries
 // form). Order-independent by construction, so the sorted input is a
 // convenience, not a requirement.
-func buildAETree(entries []kvEntry) *AETree {
-	t := &AETree{}
+func buildAETree(entries []durable.Entry) *AETree {
+	t := NewAETree()
 	for _, e := range entries {
-		t.Apply(e.key, e.ver, e.val)
+		t.Apply(e.Key, e.Ver, e.Val)
 	}
 	return t
 }
@@ -218,7 +119,7 @@ func (n *Node) aeDigestsLocked() []aePartitionDigest {
 		}
 		// The store maintains the digest incrementally, so publishing
 		// costs O(1) per partition — no rehash on the epoch path.
-		leaves, root, resident := n.store.aeDigest(p)
+		_, resident, leaves, root := n.store.Part(p).Digest()
 		if !resident {
 			continue
 		}
@@ -257,7 +158,7 @@ func (n *Node) aePullPlansLocked() []aePull {
 		}
 		for _, d := range blob.digests {
 			p := d.partition
-			if n.view.primary(p) != i || !n.view.hasReplica(p, n.self) || !n.store.isResident(p) {
+			if n.view.primary(p) != i || !n.view.hasReplica(p, n.self) || !n.store.Part(p).Stats().Resident {
 				continue
 			}
 			pulls = append(pulls, aePull{p: p, primary: i, epoch: n.epoch, root: d.root, leaves: d.leaves})
@@ -274,7 +175,7 @@ func (n *Node) aePullPlansLocked() []aePull {
 //lint:requires-unlocked n.mu
 func (n *Node) runAEPulls(pulls []aePull) {
 	for _, pl := range pulls {
-		mine, root, resident := n.store.aeDigest(pl.p)
+		_, resident, mine, root := n.store.Part(pl.p).Digest()
 		if !resident {
 			continue // residency was lost between planning and here
 		}
@@ -297,7 +198,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 				tops = append(tops, b)
 			}
 		}
-		subs := n.store.aeSubLeaves(pl.p, tops)
+		subs := n.store.Part(pl.p).SubLeaves(tops)
 		req := appendAESub(nil, tops, subs)
 		n.aePayloadN.Add(int64(len(req)))
 		resp, err := n.tr.Send(n.peerAddr(pl.primary), &transport.Message{
@@ -316,16 +217,16 @@ func (n *Node) runAEPulls(pulls []aePull) {
 		}
 		// Index the local copy of the listed sub-buckets. entries is in
 		// ascending key order, so per-bucket key order is deterministic.
-		entries, _ := n.store.snapshotEntries(pl.p)
+		entries, _ := n.store.Part(pl.p).Entries()
 		listed := make(map[int]bool, len(subIdx))
 		for _, s := range subIdx {
 			listed[s] = true
 		}
 		localVer := make(map[string]uint64)
-		localBySub := make(map[int][]kvEntry)
+		localBySub := make(map[int][]durable.Entry)
 		for _, e := range entries {
-			if s := aeSub(e.key); listed[s] {
-				localVer[e.key] = e.ver
+			if s := aeSub(e.Key); listed[s] {
+				localVer[e.Key] = e.Ver
 				localBySub[s] = append(localBySub[s], e)
 			}
 		}
@@ -341,10 +242,10 @@ func (n *Node) runAEPulls(pulls []aePull) {
 				}
 			}
 		}
-		var push []kvEntry
+		var push []durable.Entry
 		for _, s := range subIdx {
 			for _, e := range localBySub[s] {
-				if pv, ok := primVer[e.key]; !ok || pv < e.ver {
+				if pv, ok := primVer[e.Key]; !ok || pv < e.Ver {
 					push = append(push, e)
 				}
 			}
@@ -361,7 +262,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 			})
 			if err == nil && resp.Status == transport.StatusOK {
 				if got, derr := decodeSnapshot(resp.Value); derr == nil {
-					if merged, applied, merr := n.store.mergeResident(pl.p, got); merr == nil && applied && merged > 0 {
+					if merged, applied, merr := n.store.Part(pl.p).MergeResident(got); merr == nil && applied && merged > 0 {
 						n.aeHealedN.Add(int64(merged))
 					}
 				}
@@ -402,10 +303,10 @@ func (n *Node) handleAEDigest(req *transport.Message) (*transport.Message, error
 	n.mu.RLock()
 	holder := n.view.hasReplica(p, n.self) && !n.recovering
 	n.mu.RUnlock()
-	if !holder || !n.store.isResident(p) {
+	if !holder || !n.store.Part(p).Stats().Resident {
 		return &transport.Message{Kind: KindAEDigest, Partition: req.Partition, Status: transport.StatusRetry}, nil
 	}
-	mineSubs := n.store.aeSubLeaves(p, tops)
+	mineSubs := n.store.Part(p).SubLeaves(tops)
 	divergent := make(map[int]bool)
 	for i, b := range tops {
 		for j := 0; j < aeFanout; j++ {
@@ -421,10 +322,10 @@ func (n *Node) handleAEDigest(req *transport.Message) (*transport.Message, error
 	sort.Ints(subIdx)
 	bySub := make(map[int][]aeKeyVer)
 	if len(divergent) > 0 {
-		entries, _ := n.store.snapshotEntries(p)
+		entries, _ := n.store.Part(p).Entries()
 		for _, e := range entries {
-			if s := aeSub(e.key); divergent[s] {
-				bySub[s] = append(bySub[s], aeKeyVer{key: e.key, ver: e.ver})
+			if s := aeSub(e.Key); divergent[s] {
+				bySub[s] = append(bySub[s], aeKeyVer{key: e.Key, ver: e.Ver})
 			}
 		}
 	}
@@ -453,10 +354,10 @@ func (n *Node) handleAEFetch(req *transport.Message) (*transport.Message, error)
 	n.mu.RLock()
 	holder := n.view.hasReplica(p, n.self) && !n.recovering
 	n.mu.RUnlock()
-	if !holder || !n.store.isResident(p) {
+	if !holder || !n.store.Part(p).Stats().Resident {
 		return &transport.Message{Kind: KindAEFetch, Partition: req.Partition, Status: transport.StatusRetry}, nil
 	}
-	found := n.store.getEntries(p, keys)
+	found := n.store.Part(p).Lookup(keys)
 	reply := appendEntries(nil, found)
 	if len(found) > 0 {
 		n.aeRepairsN.Add(1)
@@ -482,7 +383,7 @@ func (n *Node) handleAERepair(req *transport.Message) (*transport.Message, error
 	var merged int
 	applied := false
 	if holder {
-		merged, applied, err = n.store.mergeResident(p, entries)
+		merged, applied, err = n.store.Part(p).MergeResident(entries)
 	}
 	n.mu.RUnlock()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -12,19 +13,19 @@ import (
 // any order, lands on the same digest as a bulk build, and re-applying
 // a record removes it.
 func TestAETreeIncrementalMatchesBuild(t *testing.T) {
-	entries := make([]kvEntry, 0, 100)
+	entries := make([]durable.Entry, 0, 100)
 	for i := 0; i < 100; i++ {
-		entries = append(entries, kvEntry{
-			key: fmt.Sprintf("ae-key-%d", i),
-			ver: uint64(i + 1),
-			val: []byte(fmt.Sprintf("val-%d", i)),
+		entries = append(entries, durable.Entry{
+			Key: fmt.Sprintf("ae-key-%d", i),
+			Ver: uint64(i + 1),
+			Val: []byte(fmt.Sprintf("val-%d", i)),
 		})
 	}
 	bulk := buildAETree(entries)
 
 	inc := NewAETree()
 	for i := len(entries) - 1; i >= 0; i-- { // reverse order: leaves are order-free
-		inc.Apply(entries[i].key, entries[i].ver, entries[i].val)
+		inc.Apply(entries[i].Key, entries[i].Ver, entries[i].Val)
 	}
 	if bulk.Root() != inc.Root() {
 		t.Fatalf("bulk root %x != incremental root %x", bulk.Root(), inc.Root())
@@ -32,13 +33,13 @@ func TestAETreeIncrementalMatchesBuild(t *testing.T) {
 
 	// An update is remove-old + add-new; undoing it restores the root.
 	root := inc.Root()
-	inc.Apply(entries[7].key, entries[7].ver, entries[7].val) // remove
-	inc.Apply(entries[7].key, 999, []byte("new"))             // add new version
+	inc.Apply(entries[7].Key, entries[7].Ver, entries[7].Val) // remove
+	inc.Apply(entries[7].Key, 999, []byte("new"))             // add new version
 	if inc.Root() == root {
 		t.Fatal("updating an entry did not change the root")
 	}
-	inc.Apply(entries[7].key, 999, []byte("new"))
-	inc.Apply(entries[7].key, entries[7].ver, entries[7].val)
+	inc.Apply(entries[7].Key, 999, []byte("new"))
+	inc.Apply(entries[7].Key, entries[7].Ver, entries[7].Val)
 	if inc.Root() != root {
 		t.Fatal("undoing the update did not restore the root")
 	}
@@ -223,7 +224,7 @@ func TestAEDigestRefusedByNonResident(t *testing.T) {
 	resp, err = h.nodes[victim].Handle("test", &transport.Message{
 		Kind:      KindAERepair,
 		Partition: uint32(p),
-		Value:     appendEntries(nil, []kvEntry{{key: "ae-k", ver: 1, val: []byte("v")}}),
+		Value:     appendEntries(nil, []durable.Entry{{Key: "ae-k", Ver: 1, Val: []byte("v")}}),
 	})
 	if err != nil {
 		t.Fatalf("repair at non-resident: %v", err)

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -30,15 +31,15 @@ type RepairCost struct {
 // the chaos workload's size class: short formatted keys, 64-byte
 // values. Versions ascend from 1 so a re-migration watermark splits
 // the set cleanly.
-func repairEntries(keys int) []kvEntry {
-	entries := make([]kvEntry, keys)
+func repairEntries(keys int) []durable.Entry {
+	entries := make([]durable.Entry, keys)
 	for i := range entries {
 		val := make([]byte, 64)
 		copy(val, fmt.Sprintf("repair-bench.e%d.k%06d.", i, i))
-		entries[i] = kvEntry{
-			key: fmt.Sprintf("repair-k%06d", i),
-			ver: uint64(i + 1),
-			val: val,
+		entries[i] = durable.Entry{
+			Key: fmt.Sprintf("repair-k%06d", i),
+			Ver: uint64(i + 1),
+			Val: val,
 		}
 	}
 	return entries
@@ -82,10 +83,10 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; f.Close owns shutdown
 	src := f.Node(0)
 	entries := repairEntries(keys)
-	if err := src.store.mergeSnapshot(p, entries); err != nil {
+	if err := src.store.Part(p).MergeSnapshot(entries); err != nil {
 		return RepairCost{}, err
 	}
-	f.Node(target).store.drop(p)
+	f.Node(target).store.Part(p).Drop()
 
 	// Cold migration: the target is non-resident, the plan is full.
 	wireBytes = 0
@@ -97,17 +98,17 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	// Diverge by `divergent` fresh writes above the shipped watermark,
 	// then re-migrate: the probe finds a resident target whose digest
 	// matches below the watermark, so only the fresh entries ship.
-	fresh := make([]kvEntry, divergent)
+	fresh := make([]durable.Entry, divergent)
 	for i := range fresh {
 		val := make([]byte, 64)
 		copy(val, fmt.Sprintf("repair-bench-fresh.%d.", i))
-		fresh[i] = kvEntry{
-			key: fmt.Sprintf("repair-fresh-k%06d", i),
-			ver: uint64(keys + i + 1),
-			val: val,
+		fresh[i] = durable.Entry{
+			Key: fmt.Sprintf("repair-fresh-k%06d", i),
+			Ver: uint64(keys + i + 1),
+			Val: val,
 		}
 	}
-	if err := src.store.mergeSnapshot(p, fresh); err != nil {
+	if err := src.store.Part(p).MergeSnapshot(fresh); err != nil {
 		return RepairCost{}, err
 	}
 	wireBytes = 0
@@ -154,12 +155,12 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 
 	// The holder's copy of the first `divergent` records is stale.
 	holder := buildAETree(entries)
-	stale := make([]kvEntry, divergent)
+	stale := make([]durable.Entry, divergent)
 	for i := range stale {
 		old := entries[i]
-		holder.Apply(old.key, old.ver, old.val) // XOR-remove the current record
-		stale[i] = kvEntry{key: old.key, ver: old.ver, val: []byte("stale-value")}
-		holder.Apply(stale[i].key, stale[i].ver, stale[i].val)
+		holder.Apply(old.Key, old.Ver, old.Val) // XOR-remove the current record
+		stale[i] = durable.Entry{Key: old.Key, Ver: old.Ver, Val: []byte("stale-value")}
+		holder.Apply(stale[i].Key, stale[i].Ver, stale[i].Val)
 	}
 
 	hLeaves, pLeaves := holder.Leaves(), primary.Leaves()
@@ -171,10 +172,10 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 	}
 
 	// Flat: digest request + full-bucket diff reply.
-	var flatDiff []kvEntry
+	var flatDiff []durable.Entry
 	for _, e := range entries {
 		for _, b := range tops {
-			if aeBucket(e.key) == b {
+			if aeBucket(e.Key) == b {
 				flatDiff = append(flatDiff, e)
 				break
 			}
@@ -201,15 +202,15 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 			subIdx = append(subIdx, sub)
 			var list []aeKeyVer
 			for _, e := range entries {
-				if aeSub(e.key) == sub {
-					list = append(list, aeKeyVer{key: e.key, ver: e.ver})
+				if aeSub(e.Key) == sub {
+					list = append(list, aeKeyVer{key: e.Key, ver: e.Ver})
 				}
 			}
 			lists = append(lists, list)
 		}
 	}
 	for _, s := range stale {
-		fetch = append(fetch, s.key)
+		fetch = append(fetch, s.Key)
 	}
 	fetched := entries[:divergent]
 	hier := int64(len(appendAEDigest(nil, pLeaves, primary.Root()))) +

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // --- Wire round-trips for the delta-replication frames ----------------
@@ -200,8 +202,8 @@ func TestAETreeSubLocalization(t *testing.T) {
 		t.Fatal("identical record sets disagree at the root")
 	}
 	const k = "k-3"
-	b.Apply(k, 4, []byte("v"))        // XOR-remove the shared record
-	b.Apply(k, 99, []byte("newer"))   // replace with a divergent one
+	b.Apply(k, 4, []byte("v"))      // XOR-remove the shared record
+	b.Apply(k, 99, []byte("newer")) // replace with a divergent one
 	if a.Root() == b.Root() {
 		t.Fatal("divergent record sets agree at the root")
 	}
@@ -239,7 +241,7 @@ func TestDeltaTransferToResidentTarget(t *testing.T) {
 	src, dst := h.nodes[0], h.nodes[1]
 	const p = 2
 	entries := seedPartition(t, src, p, 8)
-	dst.store.drop(p)
+	dst.store.Part(p).Drop()
 
 	if !src.TransferPartition(p, 1) {
 		t.Fatal("initial full transfer did not complete")
@@ -251,11 +253,11 @@ func TestDeltaTransferToResidentTarget(t *testing.T) {
 	base := st.ChunksSent
 
 	// Diverge by two fresh keys above the shipped watermark.
-	fresh := []kvEntry{
-		{key: "delta-a", ver: 100, val: []byte("da")},
-		{key: "delta-b", ver: 101, val: []byte("db")},
+	fresh := []durable.Entry{
+		{Key: "delta-a", Ver: 100, Val: []byte("da")},
+		{Key: "delta-b", Ver: 101, Val: []byte("db")},
 	}
-	if err := src.store.mergeSnapshot(p, fresh); err != nil {
+	if err := src.store.Part(p).MergeSnapshot(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if !src.TransferPartition(p, 1) {
@@ -271,12 +273,12 @@ func TestDeltaTransferToResidentTarget(t *testing.T) {
 	if st.BytesSaved == 0 {
 		t.Error("delta session saved no bytes")
 	}
-	if !dst.store.isResident(p) {
+	if !dst.store.Part(p).Stats().Resident {
 		t.Error("target lost residency across a delta session")
 	}
 	for _, e := range append(entries, fresh...) {
-		if v, ver, ok := dst.store.get(p, e.key); !ok || string(v) != string(e.val) || ver != e.ver {
-			t.Errorf("key %q after delta: val=%q ver=%d ok=%v, want %q/%d", e.key, v, ver, ok, e.val, e.ver)
+		if v, ver, ok, _ := dst.store.Part(p).Get(e.Key); !ok || string(v) != string(e.Val) || ver != e.Ver {
+			t.Errorf("key %q after delta: val=%q ver=%d ok=%v, want %q/%d", e.Key, v, ver, ok, e.Val, e.Ver)
 		}
 	}
 }
@@ -293,8 +295,11 @@ func TestStaleWatermarkFallsBackToFull(t *testing.T) {
 	entries := seedPartition(t, src, p, 6)
 
 	// The target is resident-empty (the store default) with a watermark
-	// asserting coverage it does not have.
-	dst.store.parts[p].maxVer = 50
+	// asserting coverage it does not have: an earlier session's begin
+	// adopted the source's maxVer and then delivered nothing.
+	if _, _, _, err := dst.store.Part(p).BeginInbound(1, 0, false, 50); err != nil {
+		t.Fatal(err)
+	}
 
 	if !src.TransferPartition(p, 1) {
 		t.Fatal("transfer against stale watermark did not complete")
@@ -307,8 +312,8 @@ func TestStaleWatermarkFallsBackToFull(t *testing.T) {
 		t.Errorf("shipped %d chunks, want %d — the inflated watermark must not skip entries", st.ChunksSent, len(entries))
 	}
 	for _, e := range entries {
-		if _, _, ok := dst.store.get(p, e.key); !ok {
-			t.Errorf("key %q missing after stale-watermark transfer", e.key)
+		if _, _, ok, _ := dst.store.Part(p).Get(e.Key); !ok {
+			t.Errorf("key %q missing after stale-watermark transfer", e.Key)
 		}
 	}
 }
@@ -331,19 +336,21 @@ func TestDeltaBucketFilteredRepairsHole(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	entries := []kvEntry{
-		{key: keys[0], ver: 1, val: []byte("v0")},
-		{key: keys[1], ver: 2, val: []byte("v1")},
-		{key: keys[2], ver: 3, val: []byte("v2")},
+	entries := []durable.Entry{
+		{Key: keys[0], Ver: 1, Val: []byte("v0")},
+		{Key: keys[1], Ver: 2, Val: []byte("v1")},
+		{Key: keys[2], Ver: 3, Val: []byte("v2")},
 	}
-	if err := src.store.mergeSnapshot(p, entries); err != nil {
+	if err := src.store.Part(p).MergeSnapshot(entries); err != nil {
 		t.Fatal(err)
 	}
 	// The target holds two of the three and a watermark covering all.
-	if err := dst.store.mergeSnapshot(p, entries[:2]); err != nil {
+	if err := dst.store.Part(p).MergeSnapshot(entries[:2]); err != nil {
 		t.Fatal(err)
 	}
-	dst.store.parts[p].maxVer = 3
+	if _, _, _, err := dst.store.Part(p).BeginInbound(1, 0, false, 3); err != nil {
+		t.Fatal(err)
+	}
 
 	if !src.TransferPartition(p, 1) {
 		t.Fatal("bucket-filtered transfer did not complete")
@@ -359,8 +366,8 @@ func TestDeltaBucketFilteredRepairsHole(t *testing.T) {
 		t.Error("bucket-filtered plan saved no bytes")
 	}
 	for _, e := range entries {
-		if _, _, ok := dst.store.get(p, e.key); !ok {
-			t.Errorf("key %q missing after bucket-filtered transfer", e.key)
+		if _, _, ok, _ := dst.store.Part(p).Get(e.Key); !ok {
+			t.Errorf("key %q missing after bucket-filtered transfer", e.Key)
 		}
 	}
 }

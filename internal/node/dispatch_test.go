@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -60,7 +61,7 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 		case KindSync:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Key: []byte(key), Value: []byte("v3"), Version: 1 << 40}
 		case KindStore:
-			snap := appendSnapshot(nil, map[string]entry{"other-key": {val: []byte("sv"), ver: 1}})
+			snap := encodeSnapshot(t, durable.Entry{Key: "other-key", Val: []byte("sv"), Ver: 1})
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Value: snap}
 		case KindDrop:
 			// The primary refuses the drop (StatusRetry) rather than
@@ -81,7 +82,7 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
 				Value: appendXferBegin(nil, 1, false)}
 		case KindXferChunk:
-			chunk := appendEntries(nil, []kvEntry{{key: "xfer-key", val: []byte("xv"), ver: 1}})
+			chunk := appendEntries(nil, []durable.Entry{{Key: "xfer-key", Val: []byte("xv"), Ver: 1}})
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
 				Cursor: 0, Value: chunk}
 		case KindXferCursor:
@@ -96,7 +97,7 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(),
 				Value: appendAESub(nil, []int{0}, [][]uint64{empty.SubLeaves(0)})}
 		case KindAERepair:
-			rep := appendEntries(nil, []kvEntry{{key: "ae-key", val: []byte("av"), ver: 1}})
+			rep := appendEntries(nil, []durable.Entry{{Key: "ae-key", Val: []byte("av"), Ver: 1}})
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(), Value: rep}
 		case KindAEFetch:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(),

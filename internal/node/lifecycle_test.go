@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -124,8 +125,8 @@ func TestReplayedStoreIsIdempotent(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := map[string]entry{"a": {val: []byte("1"), ver: 3}, "b": {val: []byte("2"), ver: 4}}
-	msg := &transport.Message{Kind: KindStore, Partition: p, Value: appendSnapshot(nil, snap)}
+	snap := encodeSnapshot(t, durable.Entry{Key: "a", Val: []byte("1"), Ver: 3}, durable.Entry{Key: "b", Val: []byte("2"), Ver: 4})
+	msg := &transport.Message{Kind: KindStore, Partition: p, Value: snap}
 
 	apply := func() (int, []byte) {
 		t.Helper()
@@ -133,8 +134,8 @@ func TestReplayedStoreIsIdempotent(t *testing.T) {
 		if err != nil || resp.Status != transport.StatusOK {
 			t.Fatalf("store transfer failed: resp=%+v err=%v", resp, err)
 		}
-		va, _, _ := nd.store.get(p, "a")
-		return nd.store.keys(p), append([]byte(nil), va...)
+		va, _, _, _ := nd.store.Part(p).Get("a")
+		return nd.store.Part(p).Stats().Keys, append([]byte(nil), va...)
 	}
 	k1, v1 := apply()
 	k2, v2 := apply()
@@ -156,17 +157,17 @@ func TestReplayedStoreDoesNotRollBack(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := appendSnapshot(nil, map[string]entry{"a": {val: []byte("old"), ver: 3}})
+	snap := encodeSnapshot(t, durable.Entry{Key: "a", Val: []byte("old"), Ver: 3})
 	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
 		t.Fatal(err)
 	}
-	if !nd.store.applySync(p, "a", []byte("new"), 9) {
+	if !nd.store.Part(p).ApplySync("a", []byte("new"), 9) {
 		t.Fatal("sync refused on a resident partition")
 	}
 	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
 		t.Fatal(err)
 	}
-	v, ver, _ := nd.store.get(p, "a")
+	v, ver, _, _ := nd.store.Part(p).Get("a")
 	if string(v) != "new" || ver != 9 {
 		t.Errorf("replayed snapshot rolled key back: got (%q, %d), want (\"new\", 9)", v, ver)
 	}
@@ -210,7 +211,7 @@ func TestStaleSyncAfterDropDoesNotResurrect(t *testing.T) {
 		t.Fatal("no non-primary holder found; widen the config")
 	}
 	key := PartitionKey(p, base.Partitions)
-	if !nd.store.applySync(p, key, []byte("live"), 5) {
+	if !nd.store.Part(p).ApplySync(key, []byte("live"), 5) {
 		t.Fatal("seed sync refused")
 	}
 	if _, err := nd.Handle("peer", &transport.Message{Kind: KindDrop, Partition: uint32(p)}); err != nil {
@@ -225,7 +226,7 @@ func TestStaleSyncAfterDropDoesNotResurrect(t *testing.T) {
 	if resp.Status != transport.StatusRetry {
 		t.Errorf("stale sync on dropped partition answered status %d, want StatusRetry", resp.Status)
 	}
-	if v, _, ok := nd.store.get(p, key); ok {
+	if v, _, ok, _ := nd.store.Part(p).Get(key); ok {
 		t.Errorf("stale sync resurrected dropped partition %d: key %q = %q", p, key, v)
 	}
 }

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/policy"
 	"repro/internal/ring"
 	"repro/internal/stats"
@@ -109,18 +108,12 @@ type Node struct {
 	// surfaced in DumpInfo so operators see silent replication decay.
 	syncFails atomic.Int64
 
-	// eng is the durable storage engine backing the store when
-	// cfg.DataDir is set (nil in memory mode). Crash closes it and
-	// Restart reopens the same directory, recovering the data a real
-	// process restart would find on disk.
-	eng *durable.Engine
-
 	// Outbound chunked transfer sessions (see transfer.go). xmu is a
 	// leaf lock under n.mu; never held across a send. xgen is the
-	// durable engine's boot generation, folded into session ids so a
-	// restarted process never re-issues one (0 in memory mode); it is
-	// written only under n.mu in write mode (New/Restart) and read with
-	// n.mu held in either mode.
+	// store's boot generation, folded into session ids so a restarted
+	// process never re-issues one (0 in memory mode); it is written
+	// only under n.mu in write mode (New/Restart) and read with n.mu
+	// held in either mode.
 	xmu    sync.Mutex
 	xfers  []*xferSession
 	xgen   uint64
@@ -129,11 +122,11 @@ type Node struct {
 
 	// Anti-entropy counters (see ae.go). Atomic for the same reason as
 	// syncFails: the digest exchange fans out outside n.mu.
-	aeRoundsN   atomic.Int64
-	aeSyncedN   atomic.Int64
-	aeRepairsN  atomic.Int64
-	aeHealedN   atomic.Int64
-	aePayloadN  atomic.Int64
+	aeRoundsN  atomic.Int64
+	aeSyncedN  atomic.Int64
+	aeRepairsN atomic.Int64
+	aeHealedN  atomic.Int64
+	aePayloadN atomic.Int64
 }
 
 // outOp is one data-movement message to perform after the view update,
@@ -163,22 +156,9 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newStore(cfg.Partitions)
-	var eng *durable.Engine
-	if cfg.DataDir != "" {
-		eng, err = durable.Open(durable.Options{
-			Dir:          cfg.DataDir,
-			Partitions:   cfg.Partitions,
-			Sync:         syncerFor(&cfg),
-			CompactEvery: cfg.WALCompactEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// First boot trusts the recovered residency: a fresh directory is
-		// the authoritative-empty birth state, a reused one is whatever
-		// this node durably was when it last ran.
-		st = newDurableStore(cfg.Partitions, eng, true)
+	st, err := openStore(&cfg, cfg.DataDir, false)
+	if err != nil {
+		return nil, err
 	}
 	n := &Node{
 		cfg:      cfg,
@@ -187,7 +167,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		tr:       tr,
 		view:     v,
 		store:    st,
-		eng:      eng,
+		xgen:     st.Generation(),
 		tracker:  tk,
 		rng:      stats.NewRNG(cfg.Seed ^ 0x90DE),
 		missed:   make([]int, len(cfg.Peers)),
@@ -196,30 +176,8 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		pending:  make([]*statsBlob, len(cfg.Peers)),
 		nextPend: make([]*statsBlob, len(cfg.Peers)),
 	}
-	if eng != nil {
-		n.xgen = eng.Generation()
-	}
 	tr.SetHandler(n.Handle)
 	return n, nil
-}
-
-// syncerFor maps the config's fsync switch to the engine's Syncer.
-func syncerFor(cfg *Config) durable.Syncer {
-	if cfg.Fsync {
-		return durable.OSSync{}
-	}
-	return durable.NoSync{}
-}
-
-// durableErrLocked surfaces the engine's sticky failure for error
-// messages. Callers hold n.mu in either mode.
-func (n *Node) durableErrLocked() error {
-	if n.eng != nil {
-		if err := n.eng.Err(); err != nil {
-			return err
-		}
-	}
-	return errors.New("durable engine refused the append")
 }
 
 // newPolicy maps a config name to a fresh policy instance (policies
@@ -279,10 +237,11 @@ func (n *Node) PartitionOf(key string) int {
 	return int(uint64(ring.HashString(key)) % uint64(n.cfg.Partitions))
 }
 
-// Crash simulates a process death: the in-memory store and all epoch
-// state are lost and every operation fails with ErrCrashed until
-// Restart. A durable node's engine is closed mid-flight — whatever the
-// WAL holds is what a Restart in the same data dir will recover. The
+// Crash simulates a process death: the store and all epoch state are
+// lost and every operation fails with ErrCrashed until Restart. The
+// store is closed mid-flight — for a durable node whatever the WALs
+// hold is what a Restart in the same data dir will recover — and a
+// blank, nowhere-resident memory store stands in until then. The
 // transport is left open — making the endpoint unreachable (so peers
 // see silence, not errors) is the harness's business, e.g. Fleet.Crash
 // or transport partitioning.
@@ -294,11 +253,12 @@ func (n *Node) Crash() {
 	}
 	n.crashed = true
 	n.clearTransfersLocked()
-	if n.eng != nil {
-		_ = n.eng.Close() // simulated power-off: close errors are part of the crash
-		n.eng = nil
+	_ = n.store.Close() // simulated power-off: close errors are part of the crash
+	// A memory open of a validated config cannot fail; if it ever did,
+	// the closed store stays in place and refuses everything.
+	if blank, err := openStore(&n.cfg, "", true); err == nil {
+		n.store = blank
 	}
-	n.store = newBlankStore(n.cfg.Partitions)
 	for i := range n.pending {
 		n.pending[i] = nil
 		n.nextPend[i] = nil
@@ -331,31 +291,18 @@ func (n *Node) Restart(epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	st := newBlankStore(n.cfg.Partitions)
-	if n.cfg.DataDir != "" {
-		eng, err := durable.Open(durable.Options{
-			Dir:          n.cfg.DataDir,
-			Partitions:   n.cfg.Partitions,
-			Sync:         syncerFor(&n.cfg),
-			CompactEvery: n.cfg.WALCompactEvery,
-		})
-		if err != nil {
-			return fmt.Errorf("node %d: restart recovery: %w", n.cfg.ID, err)
-		}
-		// The cluster moved on while this node was dead, so the recovered
-		// content must not be served as authoritative (trustResident =
-		// false, every partition rejoins non-resident exactly like a
-		// blank store) — but it is NOT discarded: once the view is
-		// re-learned, the rejoin path pushes it back to the current
-		// primaries, which is what makes acked writes survive the crash
-		// of their whole holder set.
-		st = newDurableStore(n.cfg.Partitions, eng, false)
-		n.eng = eng
-		// Fresh boot generation: outbound session ids issued after this
-		// restart can never collide with ids the pre-crash boot used,
-		// which targets may durably remember as already complete.
-		n.xgen = eng.Generation()
+	// Whatever the data dir recovers rejoins non-resident but is NOT
+	// discarded: once the view is re-learned, the rejoin path pushes it
+	// back to the current primaries, which is what makes acked writes
+	// survive the crash of their whole holder set.
+	st, err := openStore(&n.cfg, n.cfg.DataDir, true)
+	if err != nil {
+		return fmt.Errorf("node %d: restart recovery: %w", n.cfg.ID, err)
 	}
+	// Fresh boot generation: outbound session ids issued after this
+	// restart can never collide with ids the pre-crash boot used, which
+	// targets may durably remember as already complete.
+	n.xgen = st.Generation()
 	n.view = v
 	n.store = st
 	n.tracker = tk
@@ -391,8 +338,7 @@ func (n *Node) Recovering() bool {
 	return n.recovering
 }
 
-// Close shuts the node down and closes its transport and durable
-// engine.
+// Close shuts the node down and closes its transport and store.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -400,17 +346,13 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	eng := n.eng
-	n.eng = nil
+	st := n.store
 	n.mu.Unlock()
-	var engErr error
-	if eng != nil {
-		engErr = eng.Close()
-	}
+	storeErr := st.Close()
 	if err := n.tr.Close(); err != nil {
 		return err
 	}
-	return engErr
+	return storeErr
 }
 
 // peerAddr returns the transport address of roster index i.
@@ -533,8 +475,8 @@ func (n *Node) routeGet(p int, key string, origin, hops int) ([]byte, uint64, bo
 	// eq. (12) instead. A non-resident replica (drop order applied but
 	// the peer views' claims have not caught up, or snapshot still in
 	// flight) forwards to the primary instead of serving content it no
-	// longer vouches for. The arrival accounting, capacity check and
-	// lookup happen atomically under the partition's shard lock.
+	// longer vouches for. The arrival accounting and capacity check are
+	// atomic under the partition's counter lock.
 	v, ver, ok, served := n.store.arriveAndTryServe(p, key, hops == 0,
 		n.cfg.ReplicaCapacity, primary == n.self, n.view.hasReplica(p, n.self))
 	if served {
@@ -654,7 +596,7 @@ func (n *Node) quorumRead(p int, key string, v []byte, ver uint64, ok bool, targ
 			continue
 		}
 		if vt.peer == n.self {
-			n.store.applySync(p, key, w.val, w.ver)
+			n.store.Part(p).ApplySync(key, w.val, w.ver)
 			continue
 		}
 		ops = append(ops, outOp{peer: vt.peer, msg: &transport.Message{
@@ -733,14 +675,13 @@ func (n *Node) routePut(p int, key string, value []byte, hops int) (PutReceipt, 
 		// become visible — standard quorum-store semantics (a failed
 		// write is "not guaranteed durable", not "guaranteed absent"),
 		// and the version keeps every copy ordered regardless. On a
-		// durable node ack #1 means the WAL append landed: an engine
+		// durable node ack #1 means the WAL append landed: a log
 		// refusal fails the write outright instead of acking a record
 		// the disk never saw.
-		ver, applied := n.store.stampPut(p, key, value, n.epoch<<versionEpochShift)
-		if !applied {
+		ver, err := n.store.Part(p).StampPut(key, value, n.epoch<<versionEpochShift)
+		if err != nil {
 			n.mu.RUnlock()
-			return PutReceipt{}, fmt.Errorf("node %d: durable apply failed for partition %d: %w",
-				n.cfg.ID, p, n.durableErrLocked())
+			return PutReceipt{}, fmt.Errorf("node %d: durable apply failed for partition %d: %w", n.cfg.ID, p, err)
 		}
 		holders := n.view.cluster.ReplicaServers(p)
 		targets := make([]int, 0, len(holders))
@@ -870,7 +811,7 @@ func (n *Node) handleSync(req *transport.Message) (*transport.Message, error) {
 	n.mu.RLock()
 	acked := false
 	if n.view.hasReplica(p, n.self) {
-		acked = n.store.applySync(p, string(req.Key), req.Value, req.Version)
+		acked = n.store.Part(p).ApplySync(string(req.Key), req.Value, req.Version)
 	}
 	n.mu.RUnlock()
 	if !acked {
@@ -891,7 +832,7 @@ func (n *Node) handleVer(req *transport.Message) (*transport.Message, error) {
 		return nil, err
 	}
 	n.mu.RLock()
-	v, ver, ok, resident := n.store.localVersion(p, string(req.Key))
+	v, ver, ok, resident := n.store.Part(p).Get(string(req.Key))
 	n.mu.RUnlock()
 	switch {
 	case !resident:
@@ -918,7 +859,7 @@ func (n *Node) handleStore(req *transport.Message) (*transport.Message, error) {
 	// snapshot transfer must never roll a key back below a version a
 	// later sync already installed here.
 	n.mu.RLock()
-	err = n.store.mergeSnapshot(p, entries)
+	err = n.store.Part(p).MergeSnapshot(entries)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -940,7 +881,7 @@ func (n *Node) handleDrop(req *transport.Message) (*transport.Message, error) {
 	// treats as authoritative would be silent data loss; refuse it.
 	refused := n.view.primary(p) == n.self
 	if !refused {
-		n.store.drop(p)
+		n.store.Part(p).Drop()
 	}
 	n.mu.RUnlock()
 	if refused {
@@ -1170,11 +1111,12 @@ func (n *Node) RunEpoch() error {
 // after the lock drops.
 func (n *Node) rejoinReinjectLocked() {
 	for p := 0; p < n.cfg.Partitions; p++ {
-		if n.store.isResident(p) || n.store.keys(p) == 0 {
+		part := n.store.Part(p)
+		if st := part.Stats(); st.Resident || st.Keys == 0 {
 			continue
 		}
 		if pr := n.view.primary(p); pr == n.self {
-			if err := n.store.mergeSnapshot(p, nil); err != nil {
+			if err := part.MergeSnapshot(nil); err != nil {
 				continue // sticky engine failure; surfaced on the ack path
 			}
 			continue
@@ -1296,7 +1238,7 @@ func (n *Node) reseedLostLocked() {
 		if n.view.primary(p) < 0 {
 			_ = n.view.seedPartition(p)
 			if n.view.hasReplica(p, n.self) {
-				n.store.resetEmpty(p)
+				n.store.Part(p).ResetEmpty()
 			}
 		}
 	}
@@ -1383,8 +1325,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 	// larger one opens a chunked transfer session that RunEpoch pumps
 	// after the lock drops (ok=false: nothing to append to ops).
 	shipOp := func(p, target int) (outOp, bool) {
-		if n.store.sizeBytes(p) <= n.cfg.SnapshotOneFrameBytes {
-			snap := n.store.encodeSnapshot(p)
+		if snap, ok := n.oneFrameSnapshot(p); ok {
 			n.xmu.Lock()
 			n.xstats.OneFrame++
 			n.xstats.BytesSent += int64(len(snap))
@@ -1461,7 +1402,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 			}
 		}
 		if int(from) == n.self {
-			n.store.drop(p)
+			n.store.Part(p).Drop()
 		}
 		if int(from) != n.self {
 			ops = append(ops, dropOp(p, int(from)))
@@ -1480,7 +1421,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 		}
 		n.counts.Suicide++
 		if int(s) == n.self {
-			n.store.drop(p)
+			n.store.Part(p).Drop()
 		} else {
 			ops = append(ops, dropOp(p, int(s)))
 		}
@@ -1535,7 +1476,7 @@ func (n *Node) Dump() DumpInfo {
 		WriteQuorum: n.cfg.WriteQuorum,
 		ReadQuorum:  n.cfg.ReadQuorum,
 		SyncFails:   n.syncFails.Load(),
-		Durable:     n.eng != nil,
+		Durable:     n.cfg.DataDir != "",
 		Transfers:   n.TransferStats(),
 		AntiEntropy: n.AEStats(),
 		Decisions:   n.counts,
@@ -1546,16 +1487,15 @@ func (n *Node) Dump() DumpInfo {
 		}
 	}
 	for p := 0; p < n.cfg.Partitions; p++ {
+		st := n.store.Part(p).Stats()
 		info := PartitionInfo{
-			Partition: p,
-			Primary:   n.view.primary(p),
-			Keys:      n.store.keys(p),
-			Bytes:     n.store.sizeBytes(p),
-			Resident:  n.store.isResident(p),
-		}
-		if n.eng != nil {
-			st := n.eng.Stats(p)
-			info.WALRecords, info.Compactions = st.WALRecords, st.Compactions
+			Partition:   p,
+			Primary:     n.view.primary(p),
+			Keys:        st.Keys,
+			Bytes:       st.Bytes,
+			Resident:    st.Resident,
+			WALRecords:  st.WALRecords,
+			Compactions: st.Compactions,
 		}
 		for _, s := range n.view.cluster.ReplicaServers(p) {
 			info.Replicas = append(info.Replicas, int(s))
@@ -1594,7 +1534,8 @@ func (n *Node) LocalVersion(key string) ([]byte, uint64, bool) {
 	if n.closed || n.crashed {
 		return nil, 0, false
 	}
-	return n.store.get(p, key)
+	v, ver, ok, _ := n.store.Part(p).Get(key)
+	return v, ver, ok
 }
 
 // ReplicaMap returns every partition's sorted holder set — the

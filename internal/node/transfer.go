@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -26,8 +27,8 @@ import (
 //
 //   - Target resident, digest agrees with the source's tree restricted
 //     to entries at-or-below the watermark → only entries strictly
-//     above the watermark ship (on a durable store, frozen via the
-//     engine's above-watermark iteration).
+//     above the watermark ship (frozen via the partition's
+//     above-watermark iteration).
 //   - Target resident, digest disagrees on some top buckets → entries
 //     above the watermark ship plus the full content of the divergent
 //     buckets (a hole below the watermark always dirties its bucket,
@@ -96,13 +97,13 @@ type xferSession struct {
 	id     uint64
 	p      int
 	target int
-	mark   bool // completion marks the target resident (full plans only)
-	st     *store // the store the snapshot (and its hold) came from
+	mark   bool               // completion marks the target resident (full plans only)
+	part   *durable.Partition // the partition the snapshot (and its hold) came from
 
 	planned bool // the delta-planning probe ran; chunks and maxVer are set
 	delta   bool // the plan shipped a watermark/digest-filtered subset
 	maxVer  uint64
-	chunks  [][]kvEntry
+	chunks  [][]durable.Entry
 	saved   int64 // payload bytes the delta plan avoided shipping
 
 	begun       bool   // target has acked a begin for this session
@@ -135,14 +136,15 @@ func (n *Node) startTransferLocked(p, target int, mark bool) {
 			return
 		}
 	}
-	n.store.holdSnapshot(p)
+	part := n.store.Part(p)
+	part.Hold()
 	n.xseq++
 	s := &xferSession{
 		id:     uint64(n.self+1)<<56 | (n.xgen&xferGenMask)<<xferGenShift | (n.xseq & xferSeqMask),
 		p:      p,
 		target: target,
 		mark:   mark,
-		st:     n.store,
+		part:   part,
 	}
 	n.xfers = append(n.xfers, s)
 	n.xstats.Started++
@@ -155,40 +157,40 @@ func (n *Node) startTransferLocked(p, target int, mark bool) {
 // filtered subset), and the encoded payload bytes the filter avoided.
 // Runs lock-free on the owning pump; the caller writes the plan back
 // under xmu.
-func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunks [][]kvEntry, maxVer uint64, delta bool, saved int64) {
+func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunks [][]durable.Entry, maxVer uint64, delta bool, saved int64) {
 	resident, leaves, _, err := decodeXferInfo(info)
 	if err != nil || !resident || len(leaves) != aeTop {
 		// Non-resident target (or a malformed/absent digest): its
 		// watermark does not describe content coverage — begins adopt the
 		// source's maxVer durably before any entry lands — so nothing
 		// below it can be skipped. Ship the full frozen snapshot.
-		entries, ver := s.st.snapshotEntries(s.p)
+		entries, ver := s.part.Entries()
 		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
 	}
-	entries, ver := s.st.snapshotEntries(s.p)
+	entries, ver := s.part.Entries()
 	below := NewAETree()
 	for _, e := range entries {
-		if e.ver <= watermark {
-			below.Apply(e.key, e.ver, e.val)
+		if e.Ver <= watermark {
+			below.Apply(e.Key, e.Ver, e.Val)
 		}
 	}
+	mine := below.Leaves()
 	var divergent [aeTop]bool
 	anyDivergent := false
 	for b := 0; b < aeTop; b++ {
-		if leaves[b] != below.top[b] {
+		if leaves[b] != mine[b] {
 			divergent[b] = true
 			anyDivergent = true
 		}
 	}
 	if !anyDivergent {
 		// The target holds exactly the source's at-or-below-watermark
-		// content: only entries strictly above the watermark ship. The
-		// freeze goes through the store's above-watermark iteration
-		// (engine-backed on durable stores) — the repeat-migration fast
-		// path. A plan that keeps everything anyway (resident-but-empty
+		// content: only entries strictly above the watermark ship, frozen
+		// through the partition's above-watermark iteration — the
+		// repeat-migration fast path. A plan that keeps everything anyway (resident-but-empty
 		// target at watermark 0) is a full plan, not a delta: it must
 		// keep its residency-marking power and counts nothing as saved.
-		kept, kver := s.st.snapshotEntriesAbove(s.p, watermark)
+		kept, kver := s.part.EntriesAbove(watermark)
 		saved = int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
 		if saved <= 0 {
 			return sliceChunks(kept, n.cfg.TransferChunkEntries), kver, false, 0
@@ -199,9 +201,9 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 	// it plus the full content of the divergent buckets. A hole or stale
 	// entry at the target always dirties its covering bucket, so this is
 	// exactly as safe as a full snapshot.
-	kept := make([]kvEntry, 0, len(entries))
+	kept := make([]durable.Entry, 0, len(entries))
 	for _, e := range entries {
-		if e.ver > watermark || divergent[aeBucket(e.key)] {
+		if e.Ver > watermark || divergent[aeBucket(e.Key)] {
 			kept = append(kept, e)
 		}
 	}
@@ -212,14 +214,25 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 	return sliceChunks(kept, n.cfg.TransferChunkEntries), ver, true, saved
 }
 
+// oneFrameSnapshot encodes partition p for a single KindStore frame,
+// when its payload is at or under the one-frame threshold.
+func (n *Node) oneFrameSnapshot(p int) ([]byte, bool) {
+	part := n.store.Part(p)
+	if part.Stats().Bytes > n.cfg.SnapshotOneFrameBytes {
+		return nil, false
+	}
+	entries, _ := part.Entries()
+	return appendEntries(nil, entries), true
+}
+
 // sliceChunks splits a frozen entry slice into chunks of at most
 // maxEntries entries and maxChunkBytes payload bytes (whichever limit
 // bites first; a single oversized entry still travels alone).
-func sliceChunks(entries []kvEntry, maxEntries int) [][]kvEntry {
-	var chunks [][]kvEntry
+func sliceChunks(entries []durable.Entry, maxEntries int) [][]durable.Entry {
+	var chunks [][]durable.Entry
 	start, bytes := 0, 0
 	for i, e := range entries {
-		sz := len(e.key) + len(e.val)
+		sz := len(e.Key) + len(e.Val)
 		if i > start && (i-start >= maxEntries || bytes+sz > maxChunkBytes) {
 			chunks = append(chunks, entries[start:i])
 			start, bytes = i, 0
@@ -233,8 +246,8 @@ func sliceChunks(entries []kvEntry, maxEntries int) [][]kvEntry {
 }
 
 // clearTransfersLocked drops every outbound session without touching
-// the store — the Crash path, where the store and engine are being
-// discarded wholesale and the "process" forgets its in-flight work.
+// the store — the Crash path, where the store is being discarded
+// wholesale and the "process" forgets its in-flight work.
 // Callers hold n.mu.
 func (n *Node) clearTransfersLocked() {
 	n.xmu.Lock()
@@ -276,7 +289,7 @@ func (n *Node) pumpTransfers() {
 		}
 		s.lastNext = s.next
 		if s.idleEpochs > n.cfg.TransferLeaseEpochs {
-			s.st.releaseHold(s.p)
+			s.part.Release()
 			n.xstats.Expired++
 			continue
 		}
@@ -300,8 +313,7 @@ func (n *Node) pumpTransfers() {
 //
 //lint:requires-unlocked n.mu
 func (n *Node) shipPartition(p, target int, ver uint64) bool {
-	if n.store.sizeBytes(p) <= n.cfg.SnapshotOneFrameBytes {
-		snap := n.store.encodeSnapshot(p)
+	if snap, ok := n.oneFrameSnapshot(p); ok {
 		resp, err := n.tr.Send(n.peerAddr(target), &transport.Message{
 			Kind: KindStore, Partition: uint32(p), Value: snap,
 		})
@@ -420,7 +432,7 @@ func (n *Node) pumpSession(s *xferSession) bool {
 			return false
 		}
 		var (
-			chunks [][]kvEntry
+			chunks [][]durable.Entry
 			maxVer uint64
 			delta  bool
 			saved  int64
@@ -589,7 +601,7 @@ func (n *Node) pumpSession(s *xferSession) bool {
 		for i, live := range n.xfers {
 			if live == s {
 				n.xfers = append(n.xfers[:i], n.xfers[i+1:]...)
-				s.st.releaseHold(s.p)
+				s.part.Release()
 				n.xstats.Completed++
 				break
 			}
@@ -611,7 +623,7 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 		return nil, err
 	}
 	n.mu.RLock()
-	next, prevVer, wasResident, err := n.store.beginInbound(p, req.Session, total, mark, req.Version)
+	next, prevVer, wasResident, err := n.store.Part(p).BeginInbound(req.Session, total, mark, req.Version)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -621,7 +633,7 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 	// learns what the target held before adoption.
 	var info []byte
 	if wasResident {
-		leaves, root, _ := n.store.aeDigest(p)
+		_, _, leaves, root := n.store.Part(p).Digest()
 		info = appendXferInfo(nil, true, leaves, root)
 	} else {
 		info = appendXferInfo(nil, false, nil, 0)
@@ -643,7 +655,7 @@ func (n *Node) handleXferChunk(req *transport.Message) (*transport.Message, erro
 		return nil, err
 	}
 	n.mu.RLock()
-	next, known, err := n.store.applyChunk(p, req.Session, uint32(req.Cursor), entries)
+	next, known, err := n.store.Part(p).ApplyChunk(req.Session, uint32(req.Cursor), entries)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -661,13 +673,13 @@ func (n *Node) handleXferCursor(req *transport.Message) (*transport.Message, err
 		return nil, err
 	}
 	n.mu.RLock()
-	next, known := n.store.inboundCursor(p, req.Session)
+	next, known := n.store.Part(p).InboundCursor(req.Session)
 	n.mu.RUnlock()
 	if !known {
 		// Unknown session: the reply doubles as the delta-planning
 		// handshake — it carries the partition's version watermark plus
 		// the residency/digest blob the source plans from.
-		maxVer, resident, leaves, root := n.store.transferInfo(p)
+		maxVer, resident, leaves, root := n.store.Part(p).Digest()
 		return &transport.Message{Kind: KindXferCursor, Partition: req.Partition, Session: req.Session,
 			Status: transport.StatusNotFound, Version: maxVer,
 			Value: appendXferInfo(nil, resident, leaves, root)}, nil
@@ -681,7 +693,7 @@ func (n *Node) handleXferDone(req *transport.Message) (*transport.Message, error
 		return nil, err
 	}
 	n.mu.RLock()
-	next, known, complete, err := n.store.finishInbound(p, req.Session)
+	next, known, complete, err := n.store.Part(p).FinishInbound(req.Session)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -698,4 +710,3 @@ func (n *Node) handleXferDone(req *transport.Message) (*transport.Message, error
 			Cursor: xferComplete}, nil
 	}
 }
-

@@ -3,8 +3,8 @@ package node
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
@@ -136,8 +136,9 @@ var KindNames = map[uint8]string{
 
 // xferComplete is the Cursor sentinel a transfer-session reply carries
 // when the session has already completed: no chunk index is ever this
-// large (chunk counts are uint32).
-const xferComplete = ^uint64(0)
+// large (chunk counts are uint32). It is the state machine's own
+// "already finished" cursor, carried on the wire unchanged.
+const xferComplete = durable.CursorComplete
 
 // partitionCounters is one partition's per-epoch observation at one
 // node: queries that entered the cluster here (origin), queries
@@ -306,47 +307,16 @@ func (r *uvarintReader) readAEDigest() (leaves []uint64, root uint64) {
 	return leaves, root
 }
 
-// kvEntry is one versioned key/value record of a partition snapshot.
-type kvEntry struct {
-	key string
-	ver uint64
-	val []byte
-}
-
-// appendSnapshot encodes one partition's versioned key/value data for
-// a KindStore transfer. Keys are emitted in ascending order so the
-// encoding is deterministic regardless of map iteration order.
-func appendSnapshot(dst []byte, data map[string]entry) []byte {
-	return appendEntries(dst, sortedEntries(data))
-}
-
-// sortedEntries flattens a partition map into ascending key order —
-// the canonical form both one-frame snapshots and chunked transfer
-// sessions slice from.
-func sortedEntries(data map[string]entry) []kvEntry {
-	keys := make([]string, 0, len(data))
-	for k := range data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]kvEntry, 0, len(keys))
-	for _, k := range keys {
-		e := data[k]
-		entries = append(entries, kvEntry{key: k, ver: e.ver, val: e.val})
-	}
-	return entries
-}
-
 // appendEntries encodes an entry block (a whole snapshot or one
 // transfer chunk). decodeSnapshot is the inverse.
-func appendEntries(dst []byte, entries []kvEntry) []byte {
+func appendEntries(dst []byte, entries []durable.Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
-		dst = binary.AppendUvarint(dst, uint64(len(e.key)))
-		dst = append(dst, e.key...)
-		dst = binary.AppendUvarint(dst, e.ver)
-		dst = binary.AppendUvarint(dst, uint64(len(e.val)))
-		dst = append(dst, e.val...)
+		dst = binary.AppendUvarint(dst, uint64(len(e.Key)))
+		dst = append(dst, e.Key...)
+		dst = binary.AppendUvarint(dst, e.Ver)
+		dst = binary.AppendUvarint(dst, uint64(len(e.Val)))
+		dst = append(dst, e.Val...)
 	}
 	return dst
 }
@@ -354,12 +324,12 @@ func appendEntries(dst []byte, entries []kvEntry) []byte {
 // encodedEntriesLen returns len(appendEntries(nil, entries)) without
 // materialising the encoding — the delta planner uses it to price what
 // a filtered plan avoided shipping.
-func encodedEntriesLen(entries []kvEntry) int {
+func encodedEntriesLen(entries []durable.Entry) int {
 	n := uvarintLen(uint64(len(entries)))
 	for _, e := range entries {
-		n += uvarintLen(uint64(len(e.key))) + len(e.key)
-		n += uvarintLen(e.ver)
-		n += uvarintLen(uint64(len(e.val))) + len(e.val)
+		n += uvarintLen(uint64(len(e.Key))) + len(e.Key)
+		n += uvarintLen(e.Ver)
+		n += uvarintLen(uint64(len(e.Val))) + len(e.Val)
 	}
 	return n
 }
@@ -404,10 +374,10 @@ func decodeXferBegin(buf []byte) (total uint32, markResident bool, err error) {
 // slice. A slice (not a map) so callers can merge it with a plain
 // deterministic loop — map iteration order is banned by the
 // determinism lint.
-func decodeSnapshot(buf []byte) ([]kvEntry, error) {
+func decodeSnapshot(buf []byte) ([]durable.Entry, error) {
 	r := &uvarintReader{buf: buf}
 	n := r.nextInt(len(buf)) // an entry costs ≥3 bytes, so len(buf) bounds the count
-	entries := make([]kvEntry, 0, n)
+	entries := make([]durable.Entry, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		// The nextInt bound is the buffer length BEFORE the uvarint is
 		// consumed, so the explicit remainder checks below are what stop
@@ -432,7 +402,7 @@ func decodeSnapshot(buf []byte) ([]kvEntry, error) {
 		v := make([]byte, vl)
 		copy(v, r.buf[:vl])
 		r.buf = r.buf[vl:]
-		entries = append(entries, kvEntry{key: k, ver: ver, val: v})
+		entries = append(entries, durable.Entry{Key: k, Ver: ver, Val: v})
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -501,7 +471,7 @@ func decodeAEDigest(buf []byte) (leaves []uint64, root uint64, err error) {
 // buckets as a standard entry block. The live protocol no longer ships
 // this frame — it is retained (with its decoder) as the measured
 // baseline of the repair bench suite.
-func appendAEDiff(dst []byte, buckets []int, entries []kvEntry) []byte {
+func appendAEDiff(dst []byte, buckets []int, entries []durable.Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
 	for _, b := range buckets {
 		dst = binary.AppendUvarint(dst, uint64(b))
@@ -511,7 +481,7 @@ func appendAEDiff(dst []byte, buckets []int, entries []kvEntry) []byte {
 
 // decodeAEDiff parses a flat diff blob. maxBucket bounds every bucket
 // index (the local tree's leaf count).
-func decodeAEDiff(buf []byte, maxBucket int) (buckets []int, entries []kvEntry, err error) {
+func decodeAEDiff(buf []byte, maxBucket int) (buckets []int, entries []durable.Entry, err error) {
 	r := &uvarintReader{buf: buf}
 	n := r.nextInt(maxBucket)
 	for i := 0; i < n && r.err == nil; i++ {

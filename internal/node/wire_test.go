@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 func TestStatsBlobRoundTrip(t *testing.T) {
@@ -58,47 +60,55 @@ func TestDecodeStatsRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	in := map[string]entry{
-		"alpha": {val: []byte("1"), ver: 7},
-		"beta":  {val: []byte{}, ver: 0},
-		"gamma": {val: bytes.Repeat([]byte("x"), 300), ver: 9<<20 | 3},
+// encodeSnapshot is the one-frame ship's encoding path in miniature:
+// the entries go through a memory-mode partition in the given order
+// and come back in its canonical ascending-key order.
+func encodeSnapshot(t *testing.T, entries ...durable.Entry) []byte {
+	t.Helper()
+	eng, err := durable.Open(durable.Options{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	enc := appendSnapshot(nil, in)
-	out, err := decodeSnapshot(enc)
+	defer eng.Close()
+	if err := eng.Part(0).MergeSnapshot(entries); err != nil {
+		t.Fatal(err)
+	}
+	sorted, _ := eng.Part(0).Entries()
+	return appendEntries(nil, sorted)
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	in := []durable.Entry{
+		{Key: "gamma", Val: bytes.Repeat([]byte("x"), 300), Ver: 9<<20 | 3},
+		{Key: "alpha", Val: []byte("1"), Ver: 7},
+		{Key: "beta", Val: []byte{}, Ver: 0},
+	}
+	out, err := decodeSnapshot(encodeSnapshot(t, in...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("size mismatch: %d vs %d", len(out), len(in))
 	}
-	for _, e := range out {
-		want, ok := in[e.key]
-		if !ok {
-			t.Fatalf("decoded unknown key %q", e.key)
-		}
-		if !bytes.Equal(e.val, want.val) || e.ver != want.ver {
-			t.Fatalf("key %q: got (%q, %d), want (%q, %d)", e.key, e.val, e.ver, want.val, want.ver)
-		}
-	}
 	// Entries come back in the canonical ascending key order.
-	for i := 1; i < len(out); i++ {
-		if out[i-1].key >= out[i].key {
-			t.Fatalf("decoded entries out of order: %q before %q", out[i-1].key, out[i].key)
+	for i, want := range []durable.Entry{in[1], in[2], in[0]} {
+		if e := out[i]; e.Key != want.Key || !bytes.Equal(e.Val, want.Val) || e.Ver != want.Ver {
+			t.Fatalf("entry %d: got (%q, %q, %d), want (%q, %q, %d)", i, e.Key, e.Val, e.Ver, want.Key, want.Val, want.Ver)
 		}
 	}
 }
 
 func TestSnapshotEncodingIsCanonical(t *testing.T) {
-	a := map[string]entry{"k1": {val: []byte("v1"), ver: 1}, "k2": {val: []byte("v2"), ver: 2}, "k3": {val: []byte("v3"), ver: 3}}
-	b := map[string]entry{"k3": {val: []byte("v3"), ver: 3}, "k1": {val: []byte("v1"), ver: 1}, "k2": {val: []byte("v2"), ver: 2}}
-	if !bytes.Equal(appendSnapshot(nil, a), appendSnapshot(nil, b)) {
+	k1 := durable.Entry{Key: "k1", Val: []byte("v1"), Ver: 1}
+	k2 := durable.Entry{Key: "k2", Val: []byte("v2"), Ver: 2}
+	k3 := durable.Entry{Key: "k3", Val: []byte("v3"), Ver: 3}
+	if !bytes.Equal(encodeSnapshot(t, k1, k2, k3), encodeSnapshot(t, k3, k1, k2)) {
 		t.Fatal("snapshot encoding depends on construction order")
 	}
 }
 
 func TestDecodeSnapshotRejectsCorrupt(t *testing.T) {
-	good := appendSnapshot(nil, map[string]entry{"key": {val: []byte("value"), ver: 5}})
+	good := encodeSnapshot(t, durable.Entry{Key: "key", Val: []byte("value"), Ver: 5})
 	cases := map[string][]byte{
 		"truncated": good[:len(good)-2],
 		"trailing":  append(append([]byte{}, good...), 0),
@@ -221,9 +231,9 @@ func TestDecodeAEDigestRejectsCorrupt(t *testing.T) {
 
 func TestAEDiffRoundTrip(t *testing.T) {
 	buckets := []int{0, 7, 63}
-	entries := []kvEntry{
-		{key: "a", ver: 3, val: []byte("av")},
-		{key: "b", ver: 9, val: nil},
+	entries := []durable.Entry{
+		{Key: "a", Ver: 3, Val: []byte("av")},
+		{Key: "b", Ver: 9, Val: nil},
 	}
 	enc := appendAEDiff(nil, buckets, entries)
 	gb, ge, err := decodeAEDiff(enc, aeTop)
@@ -239,7 +249,7 @@ func TestAEDiffRoundTrip(t *testing.T) {
 		}
 	}
 	for i, e := range entries {
-		if ge[i].key != e.key || ge[i].ver != e.ver || string(ge[i].val) != string(e.val) {
+		if ge[i].Key != e.Key || ge[i].Ver != e.Ver || string(ge[i].Val) != string(e.Val) {
 			t.Fatalf("entry %d round-tripped to %+v, want %+v", i, ge[i], e)
 		}
 	}
@@ -250,7 +260,7 @@ func TestAEDiffRoundTrip(t *testing.T) {
 }
 
 func TestDecodeAEDiffRejectsCorrupt(t *testing.T) {
-	good := appendAEDiff(nil, []int{1, 2}, []kvEntry{{key: "k", ver: 1, val: []byte("v")}})
+	good := appendAEDiff(nil, []int{1, 2}, []durable.Entry{{Key: "k", Ver: 1, Val: []byte("v")}})
 	cases := map[string][]byte{
 		"empty input":         {},
 		"bucket out of range": appendAEDiff(nil, []int{aeTop}, nil),
