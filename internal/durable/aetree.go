@@ -52,15 +52,15 @@ func AEBucket(key string) int {
 	return AESub(key) / AEFanout
 }
 
-// aeEntryHash digests one (key, version, value) record. The version
-// sits between key and value with a fixed width, so no two distinct
-// records can collide by concatenation ambiguity.
-func aeEntryHash(key string, ver uint64, val []byte) uint64 {
-	h := fnvString(fnvOffset, key)
+// aeEntryHash digests one (key, version, value) record, continuing from
+// keyHash = fnvString(fnvOffset, key) — the same value AESub buckets
+// by, so Apply hashes the key once. The version sits between key and
+// value with a fixed width, so no two distinct records can collide by
+// concatenation ambiguity.
+func aeEntryHash(keyHash, ver uint64, val []byte) uint64 {
 	var vb [8]byte
 	binary.BigEndian.PutUint64(vb[:], ver)
-	h = fnvBytes(h, vb[:])
-	return fnvBytes(h, val)
+	return fnvBytes(fnvBytes(keyHash, vb[:]), val)
 }
 
 // AETree is one partition's anti-entropy digest: aeSubCount sub-bucket
@@ -79,8 +79,9 @@ type AETree struct {
 // bucket: call once to add a record, again with identical arguments to
 // remove it.
 func (t *AETree) Apply(key string, ver uint64, val []byte) {
-	h := aeEntryHash(key, ver, val)
-	s := AESub(key)
+	kh := fnvString(fnvOffset, key)
+	h := aeEntryHash(kh, ver, val)
+	s := int(kh % aeSubCount)
 	t.sub[s] ^= h
 	t.top[s/AEFanout] ^= h
 }

@@ -3,7 +3,7 @@ package durable
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -206,21 +206,11 @@ func (pt *Partition) apply(r *record) {
 
 // session returns the index of live inbound session sid, or -1.
 func (pt *Partition) session(sid uint64) int {
-	for i := range pt.sessions {
-		if pt.sessions[i].ID == sid {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(pt.sessions, func(s Session) bool { return s.ID == sid })
 }
 
 func (pt *Partition) isDone(sid uint64) bool {
-	for _, d := range pt.done {
-		if d == sid {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(pt.done, sid)
 }
 
 // commit is the only live write path: append the record to the log and
@@ -374,6 +364,11 @@ func (pt *Partition) ApplySync(key string, val []byte, ver uint64) (acked bool) 
 // merge is safe to leave behind. Entry values are kept by reference.
 // Callers hold pt.mu.
 func (pt *Partition) merge(entries []Entry) (int, error) {
+	if len(pt.data) == 0 && len(entries) > 0 {
+		// A whole snapshot landing on an emptied partition: size the map
+		// for it once instead of growing it by doubling under the lock.
+		pt.data = make(map[string]value, len(entries))
+	}
 	merged := 0
 	for _, in := range entries {
 		if cur, ok := pt.data[in.Key]; ok && cur.ver >= in.Ver {
@@ -630,7 +625,7 @@ func (pt *Partition) entriesAbove(ver uint64, all bool) []Entry {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	out := make([]Entry, len(keys))
 	for i, k := range keys {
 		v := pt.data[k]
