@@ -30,7 +30,26 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-func fnvBytes(h uint64, b []byte) uint64 {
+// mixPrime is the odd multiplier of the word-at-a-time record mix
+// (2^64 / golden ratio).
+const mixPrime = 0x9E3779B97F4A7C15
+
+// mixWord folds one 64-bit word into h: xor, multiply, and one
+// shift-xor so the product's high bits reach the low ones. Each step
+// is a bijection of h, so two inputs differing in one word never meet.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * mixPrime
+	return h ^ h>>32
+}
+
+// mixBytes folds b into h eight bytes a step (little-endian words),
+// then the tail a byte at a time as FNV-1a does. It is a fixed,
+// seedless function: the digests built from it cross the wire, so
+// every process must compute the same value.
+func mixBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = mixWord(h, binary.LittleEndian.Uint64(b))
+	}
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime
@@ -58,9 +77,7 @@ func AEBucket(key string) int {
 // value with a fixed width, so no two distinct records can collide by
 // concatenation ambiguity.
 func aeEntryHash(keyHash, ver uint64, val []byte) uint64 {
-	var vb [8]byte
-	binary.BigEndian.PutUint64(vb[:], ver)
-	return fnvBytes(fnvBytes(keyHash, vb[:]), val)
+	return mixBytes(mixWord(keyHash, ver), val)
 }
 
 // AETree is one partition's anti-entropy digest: aeSubCount sub-bucket
@@ -110,10 +127,7 @@ func (t *AETree) Root() uint64 {
 	copy(lvl[:], t.top[:])
 	for n := AETop; n > 1; n /= 2 {
 		for i := 0; i < n/2; i++ {
-			var b [16]byte
-			binary.BigEndian.PutUint64(b[:8], lvl[2*i])
-			binary.BigEndian.PutUint64(b[8:], lvl[2*i+1])
-			lvl[i] = fnvBytes(fnvOffset, b[:])
+			lvl[i] = mixWord(mixWord(fnvOffset, lvl[2*i]), lvl[2*i+1])
 		}
 	}
 	return lvl[0]

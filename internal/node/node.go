@@ -611,7 +611,8 @@ func (n *Node) handleGet(req *transport.Message) (*transport.Message, error) {
 	// The partition is a function of the key, so client requests (zero
 	// hops, e.g. from rfhctl) need not know the partition count; for
 	// forwarded requests the stamped partition must agree.
-	p := n.PartitionOf(string(req.Key))
+	key := string(req.Key)
+	p := n.PartitionOf(key)
 	if req.Hops > 0 && int(req.Partition) != p {
 		return nil, fmt.Errorf("node %d: key maps to partition %d, message says %d", n.cfg.ID, p, req.Partition)
 	}
@@ -619,7 +620,7 @@ func (n *Node) handleGet(req *transport.Message) (*transport.Message, error) {
 	if req.Hops == 0 {
 		origin = n.self
 	}
-	v, ver, ok, err := n.routeGet(p, string(req.Key), origin, int(req.Hops))
+	v, ver, ok, err := n.routeGet(p, key, origin, int(req.Hops))
 	if err != nil {
 		return nil, err
 	}
@@ -738,62 +739,73 @@ func (n *Node) routePut(p int, key string, value []byte, hops int) (PutReceipt, 
 // sync would prove nothing, since handleSync keeps refusing until the
 // holder's view catches up an epoch later. Sends run sequentially in
 // holder order when cfg.Fanout <= 1 (the deterministic-harness mode,
-// see sendOps) and over at most Fanout concurrent senders otherwise.
+// see fanOut) and over at most Fanout concurrent senders otherwise.
 // Callers must not hold n.mu.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) syncWrite(p int, key string, value []byte, ver uint64, targets []int) (acked []int, fails int) {
-	syncOne := func(t int) bool {
-		resp, err := n.tr.Send(n.peerAddr(t), &transport.Message{
-			Kind: KindSync, Partition: uint32(p), Version: ver, Key: []byte(key), Value: value,
+	kb := []byte(key) // one copy for every target: Send only reads it
+	ok := make([]bool, len(targets))
+	n.fanOut(len(targets), func(i int) {
+		resp, err := n.tr.Send(n.peerAddr(targets[i]), &transport.Message{
+			Kind: KindSync, Partition: uint32(p), Version: ver, Key: kb, Value: value,
 		})
-		if err != nil {
-			return false
+		switch {
+		case err != nil:
+		case resp.Status == transport.StatusRetry:
+			ok[i] = n.shipPartition(p, targets[i], ver)
+		default:
+			ok[i] = resp.Status == transport.StatusOK
 		}
-		if resp.Status == transport.StatusRetry {
-			return n.shipPartition(p, t, ver)
+	})
+	for i, t := range targets {
+		if ok[i] {
+			acked = append(acked, t)
+		} else {
+			fails++
 		}
-		return resp.Status == transport.StatusOK
 	}
-	if n.cfg.Fanout <= 1 || len(targets) <= 1 {
-		for _, t := range targets {
-			if syncOne(t) {
-				acked = append(acked, t)
-			} else {
-				fails++
-			}
-		}
-		return acked, fails
-	}
-	var mu sync.Mutex
-	sem := make(chan struct{}, n.cfg.Fanout)
-	var wg sync.WaitGroup
-	for _, t := range targets {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ok := syncOne(t)
-			mu.Lock()
-			if ok {
-				acked = append(acked, t)
-			} else {
-				fails++
-			}
-			mu.Unlock()
-		}(t)
-	}
-	wg.Wait()
 	return acked, fails
 }
 
+// fanOut runs do(0) … do(count-1), the unit of every multi-peer send.
+// With cfg.Fanout <= 1 the calls run strictly sequentially in index
+// order: the deterministic harnesses depend on that, because the chaos
+// fault wrapper consumes a shared RNG stream per send and its draw
+// order is part of a seed's byte-identical trajectory. Larger fanouts
+// run at most Fanout calls at once — the wall-clock win for live
+// clusters, where a slow peer otherwise stalls the whole step — and
+// the caller runs the last one itself, so count calls cost count−1
+// goroutines and a single call costs none.
+func (n *Node) fanOut(count int, do func(i int)) {
+	if n.cfg.Fanout <= 1 || count <= 1 {
+		for i := 0; i < count; i++ {
+			do(i)
+		}
+		return
+	}
+	sem := make(chan struct{}, n.cfg.Fanout-1) // the caller is the Fanout-th sender
+	var wg sync.WaitGroup
+	for i := 0; i < count-1; i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			do(i)
+		}(i)
+	}
+	do(count - 1)
+	wg.Wait()
+}
+
 func (n *Node) handlePut(req *transport.Message) (*transport.Message, error) {
-	p := n.PartitionOf(string(req.Key))
+	key := string(req.Key)
+	p := n.PartitionOf(key)
 	if req.Hops > 0 && int(req.Partition) != p {
 		return nil, fmt.Errorf("node %d: key maps to partition %d, message says %d", n.cfg.ID, p, req.Partition)
 	}
-	rcpt, err := n.routePut(p, string(req.Key), req.Value, int(req.Hops))
+	rcpt, err := n.routePut(p, key, req.Value, int(req.Hops))
 	if err != nil {
 		return nil, err
 	}
@@ -971,42 +983,22 @@ func (n *Node) FlushEpoch() error {
 
 // sendOps performs a logical step's peer sends — best-effort, reply
 // errors discarded (an unreachable peer simply misses the message,
-// which is what the suspicion and residency machinery measure). With
-// cfg.Fanout <= 1 the sends run strictly sequentially in slice order:
-// the deterministic harnesses depend on that, because the chaos fault
-// wrapper consumes a shared RNG stream per send and its draw order is
-// part of a seed's byte-identical trajectory. Larger fanouts spread
-// the sends over up to Fanout concurrent senders — the wall-clock win
-// for live clusters, where a slow peer otherwise stalls the whole
-// broadcast. Callers must not hold n.mu in either mode: the loopback
-// transport delivers synchronously on the sending goroutine.
+// which is what the suspicion and residency machinery measure) —
+// sequentially in slice order or concurrently as fanOut decides.
+// Callers must not hold n.mu in either mode: the loopback transport
+// delivers synchronously on the sending goroutine.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) sendOps(ops []outOp) {
-	send := func(op outOp) {
-		if resp, err := n.tr.Send(n.peerAddr(op.peer), op.msg); err == nil {
+	if len(ops) == 0 {
+		return // the common case on the read path: nobody to repair
+	}
+	n.fanOut(len(ops), func(i int) {
+		if resp, err := n.tr.Send(n.peerAddr(ops[i].peer), ops[i].msg); err == nil {
 			//lint:ignore rfhlint/errsink best-effort broadcast: a peer's reply error is equivalent to an unreachable peer, which the suspicion machinery measures
 			_ = resp.Err()
 		}
-	}
-	if n.cfg.Fanout <= 1 || len(ops) <= 1 {
-		for _, op := range ops {
-			send(op)
-		}
-		return
-	}
-	sem := make(chan struct{}, n.cfg.Fanout)
-	var wg sync.WaitGroup
-	for _, op := range ops {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(op outOp) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			send(op)
-		}(op)
-	}
-	wg.Wait()
+	})
 }
 
 // RunEpoch completes the epoch (phase B): it ages peer suspicion,

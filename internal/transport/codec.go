@@ -298,7 +298,7 @@ func getBuf() *[]byte {
 // a full partition-sized transfer are dropped so one giant frame does
 // not pin its capacity forever.
 func putBuf(b *[]byte) {
-	if cap(*b) > 1<<20 {
+	if cap(*b) > maxIdleBuf {
 		return
 	}
 	*b = (*b)[:0]

@@ -30,9 +30,9 @@ var (
 )
 
 // Handler serves one inbound request. It runs on the transport's
-// receive path (the caller's goroutine for Loopback, a connection
-// goroutine for TCP), so implementations must be safe for concurrent
-// use and must not block indefinitely. A nil response with a nil error
+// receive path (the caller's goroutine for Loopback, a pool worker for
+// TCP — never the connection's reader), so implementations must be
+// safe for concurrent use and must not block indefinitely. A nil response with a nil error
 // is answered as an empty OK message; a non-nil error is delivered to
 // the sender as a StatusError reply carrying the error text.
 type Handler func(from string, req *Message) (*Message, error)
