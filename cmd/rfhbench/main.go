@@ -1,30 +1,21 @@
-// Command rfhbench measures the module's two hot paths and writes the
-// numbers as JSON.
+// Command rfhbench measures the simulator's epoch loop and the live
+// runtime's repair bandwidth and writes the numbers as JSON.
 //
 // The sim suite (default) times steady-state Engine.Step throughput at
 // the paper's seed scale (10 datacenters, 100 servers, 64 partitions)
 // and at ten times that — the source of the committed BENCH_sim.json
-// snapshot. The transport suite measures the live cluster's message
-// plane: codec-only encode/decode rows, echo round trips over both
-// transports (in-process loopback and real TCP over localhost) at two
-// payload sizes and 1/8/64 concurrent in-flight requests per peer, and
-// a fleet-level put/get throughput row per transport — the source of
-// BENCH_transport.json. The ae suite prices the anti-entropy digest
-// machinery on a 10k-key partition: full tree build, the per-write
-// incremental leaf update, and the 64-leaf root fold — the source of
-// BENCH_ae.json. The repair suite prices delta replication end to
-// end: bytes on the wire for a full re-migration against a
+// snapshot. The repair suite prices delta replication end to end:
+// bytes on the wire for a full re-migration against a
 // watermark-planned delta session at three divergence levels (real
 // transfer sessions over a tapped loopback fleet), and a flat
 // digest+diff anti-entropy repair against the hierarchical
 // sub-digest/keylist/fetch walk — the source of BENCH_repair.json.
 // The stress suite is a pprof-friendly hammer: a 3-node TCP fleet
 // under concurrent put/get load with epochs ticking underneath, meant
-// to be run with -cpuprofile.
+// to be run with -cpuprofile. The live data plane's per-layer costs
+// (codec, TCP hop, AE tree update) are the benchmark/ ledger's rows.
 //
 //	rfhbench -o BENCH_sim.json
-//	rfhbench -suite transport -o BENCH_transport.json
-//	rfhbench -suite ae -o BENCH_ae.json
 //	rfhbench -suite repair -o BENCH_repair.json
 //	rfhbench -suite stress -cpuprofile cpu.pprof
 //	rfhbench -epochs 500 -warmup 50
@@ -140,182 +131,26 @@ func measure(name string, dcs, partitions, warmup, epochs int) (scaleResult, err
 	}, nil
 }
 
-// transportResult is one measurement row of BENCH_transport.json.
-// InFlight is the number of concurrent requests kept outstanding
-// against the peer (1 = the old serialized regime); AllocsPerOp is the
-// whole-process malloc delta per operation, so it includes both sides
-// of the exchange.
-type transportResult struct {
-	Name         string  `json:"name"`
-	Transport    string  `json:"transport"`
-	PayloadBytes int     `json:"payload_bytes"`
-	InFlight     int     `json:"in_flight"`
-	RoundTrips   int     `json:"round_trips"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-}
-
-type transportReport struct {
-	Date       string            `json:"date"`
-	GoVersion  string            `json:"go_version"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Results    []transportResult `json:"results"`
-	// SerializedBaseline is the historical record of the
-	// pre-multiplexing transport (one exchange at a time per
-	// connection, a write+read syscall pair per frame), measured on the
-	// same class of machine before the mux rewrite. It cannot be
-	// re-measured — the code is gone — so it ships as constants and
-	// lands in every refreshed snapshot as the "before" column.
-	SerializedBaseline []transportResult `json:"serialized_baseline"`
-}
-
-// serializedBaseline holds the last measurement of the old
-// serialized transport (go1.24.0, GOMAXPROCS=1, 30k round trips per
-// row). Flat ops/sec across in-flight counts is the serialization
-// showing: extra senders only queued behind the per-peer connection
-// lock.
-var serializedBaseline = []transportResult{
-	{Name: "loopback-64B-inflight1", Transport: "loopback", PayloadBytes: 64, InFlight: 1, RoundTrips: 30000, NsPerOp: 497, OpsPerSec: 2011924, AllocsPerOp: 11.0},
-	{Name: "loopback-64B-inflight8", Transport: "loopback", PayloadBytes: 64, InFlight: 8, RoundTrips: 30000, NsPerOp: 516, OpsPerSec: 1936260, AllocsPerOp: 11.0},
-	{Name: "loopback-64B-inflight64", Transport: "loopback", PayloadBytes: 64, InFlight: 64, RoundTrips: 30000, NsPerOp: 481, OpsPerSec: 2076521, AllocsPerOp: 11.0},
-	{Name: "loopback-4KiB-inflight1", Transport: "loopback", PayloadBytes: 4096, InFlight: 1, RoundTrips: 30000, NsPerOp: 2034, OpsPerSec: 491599, AllocsPerOp: 11.0},
-	{Name: "loopback-4KiB-inflight8", Transport: "loopback", PayloadBytes: 4096, InFlight: 8, RoundTrips: 30000, NsPerOp: 2167, OpsPerSec: 461353, AllocsPerOp: 11.0},
-	{Name: "loopback-4KiB-inflight64", Transport: "loopback", PayloadBytes: 4096, InFlight: 64, RoundTrips: 30000, NsPerOp: 2597, OpsPerSec: 384972, AllocsPerOp: 11.0},
-	{Name: "tcp-64B-inflight1", Transport: "tcp", PayloadBytes: 64, InFlight: 1, RoundTrips: 30000, NsPerOp: 12682, OpsPerSec: 78847, AllocsPerOp: 9.0},
-	{Name: "tcp-64B-inflight8", Transport: "tcp", PayloadBytes: 64, InFlight: 8, RoundTrips: 30000, NsPerOp: 13108, OpsPerSec: 76287, AllocsPerOp: 9.0},
-	{Name: "tcp-64B-inflight64", Transport: "tcp", PayloadBytes: 64, InFlight: 64, RoundTrips: 30000, NsPerOp: 13890, OpsPerSec: 71990, AllocsPerOp: 9.0},
-	{Name: "tcp-4KiB-inflight1", Transport: "tcp", PayloadBytes: 4096, InFlight: 1, RoundTrips: 30000, NsPerOp: 15544, OpsPerSec: 64332, AllocsPerOp: 9.0},
-	{Name: "tcp-4KiB-inflight8", Transport: "tcp", PayloadBytes: 4096, InFlight: 8, RoundTrips: 30000, NsPerOp: 15449, OpsPerSec: 64728, AllocsPerOp: 9.0},
-	{Name: "tcp-4KiB-inflight64", Transport: "tcp", PayloadBytes: 4096, InFlight: 64, RoundTrips: 30000, NsPerOp: 14679, OpsPerSec: 68124, AllocsPerOp: 9.0},
-}
-
-// echoHandler replies with the request payload — the cheapest handler,
-// so the measurement is dominated by codec + delivery cost.
-func echoHandler(from string, req *transport.Message) (*transport.Message, error) {
-	return &transport.Message{Kind: req.Kind, Key: req.Key, Value: req.Value}, nil
-}
-
-// measureCodec times pure encode+decode cycles through reused buffers —
-// the allocation floor of the message plane. Steady state must be
-// alloc-free: AppendMessage into a reused scratch slice and
-// DecodeMessageInto a reused Message allocate nothing once the scratch
-// has grown to size.
-func measureCodec(label string, payload, ops int) (transportResult, error) {
-	req := &transport.Message{Kind: 1, Key: []byte("bench-key"), Value: make([]byte, payload)}
-	scratch := transport.AppendMessage(nil, req)
-	var m transport.Message
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		scratch = transport.AppendMessage(scratch[:0], req)
-		if err := transport.DecodeMessageInto(&m, scratch); err != nil {
-			return transportResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return transportResult{
-		Name:         "codec-" + label,
-		Transport:    "codec",
-		PayloadBytes: payload,
-		InFlight:     1,
-		RoundTrips:   ops,
-		NsPerOp:      elapsed.Nanoseconds() / int64(ops),
-		OpsPerSec:    float64(ops) / elapsed.Seconds(),
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(ops),
-	}, nil
-}
-
-// measureRoundTrips times ops request/response exchanges through send
-// with `inflight` concurrent senders sharing the one peer connection.
-func measureRoundTrips(name, kind string, payload, inflight, warmup, ops int,
-	send func(*transport.Message) (*transport.Message, error)) (transportResult, error) {
-	warm := &transport.Message{Kind: 1, Key: []byte("bench-key"), Value: make([]byte, payload)}
-	for i := 0; i < warmup; i++ {
-		if _, err := send(warm); err != nil {
-			return transportResult{}, err
-		}
-	}
-	perWorker := ops / inflight
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	total := perWorker * inflight
-	errCh := make(chan error, inflight)
-	var wg sync.WaitGroup
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for w := 0; w < inflight; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := &transport.Message{Kind: 1, Key: []byte("bench-key"), Value: make([]byte, payload)}
-			for i := 0; i < perWorker; i++ {
-				if _, err := send(req); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	select {
-	case err := <-errCh:
-		return transportResult{}, err
-	default:
-	}
-	return transportResult{
-		Name:         name,
-		Transport:    kind,
-		PayloadBytes: payload,
-		InFlight:     inflight,
-		RoundTrips:   total,
-		NsPerOp:      elapsed.Nanoseconds() / int64(total),
-		OpsPerSec:    float64(total) / elapsed.Seconds(),
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(total),
-	}, nil
-}
-
-// benchFleet is a 3-node cluster for the fleet-level rows and the
-// stress suite, over either transport flavour.
+// benchFleet is the stress suite's 3-node TCP cluster.
 type benchFleet struct {
 	nodes []*node.Node
 }
 
-func buildBenchFleet(flavour string) (*benchFleet, error) {
+func buildBenchFleet() (*benchFleet, error) {
 	const n = 3
+	opts := transport.TCPOptions{
+		DialTimeout: 2 * time.Second, IOTimeout: 5 * time.Second,
+		Retries: 1, RetryBackoff: 5 * time.Millisecond,
+	}
 	peers := make([]node.Peer, n)
 	trs := make([]transport.Transport, n)
-	switch flavour {
-	case "loopback":
-		lb := transport.NewLoopback()
-		for i := range peers {
-			peers[i] = node.Peer{ID: i, Addr: fmt.Sprintf("node%d", i)}
-			trs[i] = lb.Endpoint(peers[i].Addr)
+	for i := range peers {
+		tr, err := transport.ListenTCP("127.0.0.1:0", nil, opts)
+		if err != nil {
+			return nil, err
 		}
-	case "tcp":
-		opts := transport.TCPOptions{
-			DialTimeout: 2 * time.Second, IOTimeout: 5 * time.Second,
-			Retries: 1, RetryBackoff: 5 * time.Millisecond,
-		}
-		for i := range peers {
-			tr, err := transport.ListenTCP("127.0.0.1:0", nil, opts)
-			if err != nil {
-				return nil, err
-			}
-			peers[i] = node.Peer{ID: i, Addr: tr.Addr()}
-			trs[i] = tr
-		}
-	default:
-		return nil, fmt.Errorf("unknown fleet flavour %q", flavour)
+		peers[i] = node.Peer{ID: i, Addr: tr.Addr()}
+		trs[i] = tr
 	}
 	f := &benchFleet{}
 	for i := 0; i < n; i++ {
@@ -360,251 +195,6 @@ func (f *benchFleet) Close() {
 	}
 }
 
-// measureFleet times concurrent put/get rounds against a converged
-// 3-node fleet: `workers` goroutines each write then read their own
-// keys through their entry node, so the row captures the end-to-end
-// data plane — routing, primary forwarding, replica sync fan-out and
-// the store — not just raw transport echo cost.
-func measureFleet(flavour string, workers, rounds int) (transportResult, error) {
-	f, err := buildBenchFleet(flavour)
-	if err != nil {
-		return transportResult{}, err
-	}
-	defer f.Close()
-	val := make([]byte, 64)
-	// Warm every worker's key set once so the measured window has no
-	// first-write placement cost.
-	for g := 0; g < workers; g++ {
-		entry := f.nodes[g%len(f.nodes)]
-		for k := 0; k < 10; k++ {
-			if err := entry.Put(fmt.Sprintf("bench-g%d-k%d", g, k), val); err != nil {
-				return transportResult{}, err
-			}
-		}
-	}
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			entry := f.nodes[g%len(f.nodes)]
-			for r := 0; r < rounds; r++ {
-				key := fmt.Sprintf("bench-g%d-k%d", g, r%10)
-				if err := entry.Put(key, val); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-				if _, _, err := entry.Get(key); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	select {
-	case err := <-errCh:
-		return transportResult{}, err
-	default:
-	}
-	total := workers * rounds * 2 // one put + one get per round
-	return transportResult{
-		Name:         "fleet-putget-" + flavour,
-		Transport:    flavour,
-		PayloadBytes: len(val),
-		InFlight:     workers,
-		RoundTrips:   total,
-		NsPerOp:      elapsed.Nanoseconds() / int64(total),
-		OpsPerSec:    float64(total) / elapsed.Seconds(),
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(total),
-	}, nil
-}
-
-// runTransportSuite measures the message plane bottom-up: the codec in
-// isolation, echo round trips over both transports at 64 B and 4 KiB
-// payloads with 1, 8 and 64 requests in flight, and the fleet-level
-// put/get rows. ops derives from -epochs so the existing knob scales
-// both suites.
-func runTransportSuite(warmup, epochs int) ([]transportResult, error) {
-	ops := epochs * 100
-	payloads := []struct {
-		label string
-		bytes int
-	}{{"64B", 64}, {"4KiB", 4096}}
-	inflights := []int{1, 8, 64}
-
-	var results []transportResult
-
-	for _, p := range payloads {
-		res, err := measureCodec(p.label, p.bytes, ops*10)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-
-	lb := transport.NewLoopback()
-	cli := lb.Endpoint("cli")
-	srv := lb.Endpoint("srv")
-	srv.SetHandler(echoHandler)
-	for _, p := range payloads {
-		for _, inflight := range inflights {
-			name := fmt.Sprintf("loopback-%s-inflight%d", p.label, inflight)
-			res, err := measureRoundTrips(name, "loopback", p.bytes, inflight, warmup, ops,
-				func(m *transport.Message) (*transport.Message, error) { return cli.Send("srv", m) })
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
-	}
-	cli.Close()
-	srv.Close()
-
-	server, err := transport.ListenTCP("127.0.0.1:0", echoHandler, transport.DefaultTCPOptions())
-	if err != nil {
-		return nil, err
-	}
-	defer server.Close()
-	client := transport.NewTCPClient(transport.DefaultTCPOptions())
-	defer client.Close()
-	addr := server.Addr()
-	for _, p := range payloads {
-		for _, inflight := range inflights {
-			name := fmt.Sprintf("tcp-%s-inflight%d", p.label, inflight)
-			res, err := measureRoundTrips(name, "tcp", p.bytes, inflight, warmup, ops,
-				func(m *transport.Message) (*transport.Message, error) { return client.Send(addr, m) })
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
-	}
-
-	for _, flavour := range []string{"loopback", "tcp"} {
-		res, err := measureFleet(flavour, 8, ops/8)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// aeResult is one row of BENCH_ae.json: the cost of anti-entropy
-// digest computation over a 10k-key partition tree.
-type aeResult struct {
-	Name        string  `json:"name"`
-	Keys        int     `json:"keys"`
-	Ops         int     `json:"ops"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-type aeReport struct {
-	Date       string     `json:"date"`
-	GoVersion  string     `json:"go_version"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Results    []aeResult `json:"results"`
-}
-
-// runAESuite prices the three anti-entropy digest operations on a
-// 10k-key partition: a cold tree build (what a holder pays to answer
-// its first digest), the incremental update (the Apply pair every
-// write adds to the hot path: remove the old record's hash, add the
-// new one), and the root fold (what each AE round pays per partition
-// to compare digests). XOR leaves make the update O(1) regardless of
-// partition size — these rows are the evidence.
-func runAESuite(epochs int) []aeResult {
-	const keys = 10000
-	type entry struct {
-		key string
-		ver uint64
-		val []byte
-	}
-	entries := make([]entry, keys)
-	for i := range entries {
-		entries[i] = entry{
-			key: fmt.Sprintf("ae-bench-k%06d", i),
-			ver: uint64(i + 1),
-			// The chaos workload's value size class: a short formatted
-			// string, not a blob — AE hashing is metadata-bound.
-			val: []byte(fmt.Sprintf("s7.e%d.p0.k%d.0123456789abcdef", i, i)),
-		}
-	}
-	var sink uint64
-	timeRow := func(name string, ops int, fn func()) aeResult {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			fn()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return aeResult{
-			Name:        name,
-			Keys:        keys,
-			Ops:         ops,
-			NsPerOp:     elapsed.Nanoseconds() / int64(ops),
-			OpsPerSec:   float64(ops) / elapsed.Seconds(),
-			AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		}
-	}
-
-	builds := epochs / 10
-	if builds < 1 {
-		builds = 1
-	}
-	buildRow := timeRow("tree-build-10k", builds, func() {
-		t := node.NewAETree()
-		for i := range entries {
-			t.Apply(entries[i].key, entries[i].ver, entries[i].val)
-		}
-		sink ^= t.Root()
-	})
-
-	tree := node.NewAETree()
-	for i := range entries {
-		tree.Apply(entries[i].key, entries[i].ver, entries[i].val)
-	}
-	newVal := []byte("s7.e9999.p0.k0.fedcba9876543210")
-	updates := epochs * 1000
-	i := 0
-	fresh := false // alternates: apply the update, then undo it, so the tree never grows
-	updateRow := timeRow("incremental-update-10k", updates, func() {
-		e := &entries[i%keys]
-		if fresh {
-			tree.Apply(e.key, e.ver+1<<20, newVal) // remove the updated record
-			tree.Apply(e.key, e.ver, e.val)        // restore the original
-			i++
-		} else {
-			tree.Apply(e.key, e.ver, e.val)        // remove the old record
-			tree.Apply(e.key, e.ver+1<<20, newVal) // add the new version
-		}
-		fresh = !fresh
-	})
-
-	rootRow := timeRow("root-fold-10k", updates, func() {
-		sink ^= tree.Root()
-	})
-	runtime.KeepAlive(sink)
-	return []aeResult{buildRow, updateRow, rootRow}
-}
-
 type repairReport struct {
 	Date       string            `json:"date"`
 	GoVersion  string            `json:"go_version"`
@@ -640,7 +230,7 @@ func runRepairSuite() ([]node.RepairCost, error) {
 // cpu/heap profiles capture a realistic steady state. Transient errors
 // during epoch actions are counted, not fatal.
 func runStress(epochs int) error {
-	f, err := buildBenchFleet("tcp")
+	f, err := buildBenchFleet()
 	if err != nil {
 		return err
 	}
@@ -721,9 +311,9 @@ func writeReport(out string, rep any) {
 func main() {
 	var (
 		out        = flag.String("o", "", "write JSON here instead of stdout")
-		suite      = flag.String("suite", "sim", "benchmark suite: sim, transport, ae, repair or stress")
+		suite      = flag.String("suite", "sim", "benchmark suite: sim, repair or stress")
 		warmup     = flag.Int("warmup", 30, "warmup epochs before timing starts")
-		epochs     = flag.Int("epochs", 300, "timed epochs per scale (transport suite: ×100 round trips)")
+		epochs     = flag.Int("epochs", 300, "timed epochs per scale (stress suite: ×25 put/get rounds per worker)")
 		date       = flag.String("date", "", "date stamp (YYYY-MM-DD) embedded in the snapshot; default today (UTC)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile here")
 		memprofile = flag.String("memprofile", "", "write a heap profile here at exit")
@@ -768,35 +358,6 @@ func main() {
 	}
 
 	switch *suite {
-	case "transport":
-		results, err := runTransportSuite(*warmup, *epochs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rfhbench:", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "%-24s %8d ns/op  %9.0f ops/sec  %6.1f allocs/op\n",
-				r.Name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
-		}
-		writeReport(*out, transportReport{
-			Date:               *date,
-			GoVersion:          runtime.Version(),
-			GOMAXPROCS:         runtime.GOMAXPROCS(0),
-			Results:            results,
-			SerializedBaseline: serializedBaseline,
-		})
-	case "ae":
-		results := runAESuite(*epochs)
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "%-24s %8d ns/op  %9.0f ops/sec  %6.1f allocs/op\n",
-				r.Name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
-		}
-		writeReport(*out, aeReport{
-			Date:       *date,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Results:    results,
-		})
 	case "repair":
 		results, err := runRepairSuite()
 		if err != nil {
@@ -843,7 +404,7 @@ func main() {
 		}
 		writeReport(*out, rep)
 	default:
-		fmt.Fprintln(os.Stderr, "rfhbench: -suite must be sim, transport, ae, repair or stress")
+		fmt.Fprintln(os.Stderr, "rfhbench: -suite must be sim, repair or stress")
 		os.Exit(2)
 	}
 }

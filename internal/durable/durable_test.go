@@ -339,44 +339,3 @@ func TestAppendAfterCloseRefuses(t *testing.T) {
 		t.Fatal("append on a closed engine did not error")
 	}
 }
-
-// TestEntriesAboveFiltersAndSorts pins the delta-transfer fast path:
-// EntriesAbove returns exactly the records with versions strictly
-// above the watermark, sorted by key, together with the partition's
-// watermark, and a dropped partition yields nothing.
-func TestEntriesAboveFiltersAndSorts(t *testing.T) {
-	e := openTest(t, t.TempDir(), 1024)
-	defer func() {
-		if err := e.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-	}()
-	mustAppend(t, e.AppendPut(0, "c", 3, []byte("vc")))
-	mustAppend(t, e.AppendPut(0, "a", 10, []byte("va")))
-	mustAppend(t, e.AppendPut(0, "b", 7, []byte("vb")))
-	mustAppend(t, e.AppendPut(0, "d", 7, []byte("vd"))) // exactly at the watermark: excluded
-	pt := e.Part(0)
-
-	// "b" and "d" sit exactly at the watermark: strictly-above excludes them.
-	got, maxVer := pt.EntriesAbove(7)
-	want := []Entry{{Key: "a", Ver: 10, Val: []byte("va")}}
-	if len(got) != len(want) || maxVer != 10 {
-		t.Fatalf("EntriesAbove(7) = %v maxVer %d, want %v maxVer 10", got, maxVer, want)
-	}
-	for i := range want {
-		if got[i].Key != want[i].Key || got[i].Ver != want[i].Ver || string(got[i].Val) != string(want[i].Val) {
-			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if all, _ := pt.EntriesAbove(0); len(all) != 4 ||
-		all[0].Key != "a" || all[1].Key != "b" || all[2].Key != "c" || all[3].Key != "d" {
-		t.Errorf("EntriesAbove(0) = %v, want all four entries sorted by key", all)
-	}
-	if got, _ := pt.EntriesAbove(10); len(got) != 0 {
-		t.Errorf("EntriesAbove(10) = %v, want none (nothing strictly above the max)", got)
-	}
-	pt.Drop()
-	if got, maxVer := pt.Entries(); len(got) != 0 || maxVer != 10 {
-		t.Errorf("after drop: entries %v maxVer %d, want none and the watermark kept", got, maxVer)
-	}
-}

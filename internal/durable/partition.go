@@ -274,7 +274,7 @@ func (pt *Partition) recover() error {
 		return fmt.Errorf("durable: partition %d: %w", pt.id, err)
 	}
 	pt.tree = AETree{}
-	for _, e := range pt.entriesAbove(0, true) {
+	for _, e := range pt.sortedEntries() {
 		pt.tree.Apply(e.Key, e.Ver, e.Val)
 	}
 	pt.recovering = false
@@ -460,27 +460,23 @@ func (pt *Partition) Revoke() error {
 // cursor for a known one, CursorComplete for a replayed begin of a
 // finished session. srcMaxVer folds the source's version watermark in
 // up front so watermark-only state transfers even if every chunk loses
-// the version race. prevVer and wasResident report the state from
-// BEFORE that adoption — the begin reply must carry the pre-session
-// watermark, because the adopted one no longer describes what the
-// target's content covers.
-func (pt *Partition) BeginInbound(sid uint64, total uint32, markResident bool, srcMaxVer uint64) (next, prevVer uint64, wasResident bool, err error) {
+// the version race.
+func (pt *Partition) BeginInbound(sid uint64, total uint32, markResident bool, srcMaxVer uint64) (next uint64, err error) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	prevVer, wasResident = pt.maxVer, pt.resident
 	if pt.isDone(sid) {
-		return CursorComplete, prevVer, wasResident, nil
+		return CursorComplete, nil
 	}
 	if srcMaxVer > pt.maxVer {
 		if err := pt.commit(&record{op: opMaxVer, ver: srcMaxVer}); err != nil {
-			return 0, prevVer, wasResident, err
+			return 0, err
 		}
 	}
 	if i := pt.session(sid); i >= 0 {
-		return uint64(pt.sessions[i].Next), prevVer, wasResident, nil
+		return uint64(pt.sessions[i].Next), nil
 	}
 	sess := Session{ID: sid, Total: total, MarkResident: markResident}
-	return 0, prevVer, wasResident, pt.commit(&record{op: opCursor, sess: sess})
+	return 0, pt.commit(&record{op: opCursor, sess: sess})
 }
 
 // ApplyChunk applies one transfer chunk. known=false means the session
@@ -613,17 +609,14 @@ func (pt *Partition) Lookup(keys []string) []Entry {
 	return out
 }
 
-// entriesAbove flattens the records with versions strictly above ver
-// (all of them when all is set) into ascending key order — the
+// sortedEntries flattens the records into ascending key order — the
 // canonical form snapshots, one-frame ships and transfer sessions slice
 // from. It is the seam where a paged (larger-than-RAM) store would
 // stream from the snapshot+WAL pair instead. Callers hold pt.mu.
-func (pt *Partition) entriesAbove(ver uint64, all bool) []Entry {
+func (pt *Partition) sortedEntries() []Entry {
 	keys := make([]string, 0, len(pt.data))
-	for k, v := range pt.data {
-		if all || v.ver > ver {
-			keys = append(keys, k)
-		}
+	for k := range pt.data {
+		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	out := make([]Entry, len(keys))
@@ -639,17 +632,7 @@ func (pt *Partition) entriesAbove(ver uint64, all bool) []Entry {
 func (pt *Partition) Entries() ([]Entry, uint64) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	return pt.entriesAbove(0, true), pt.maxVer
-}
-
-// EntriesAbove freezes only the entries strictly above a version
-// watermark — the delta-transfer fast path when the target's digest
-// proves its below-watermark content identical. The returned maxVer
-// describes the same instant as the entry set.
-func (pt *Partition) EntriesAbove(ver uint64) ([]Entry, uint64) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.entriesAbove(ver, false), pt.maxVer
+	return pt.sortedEntries(), pt.maxVer
 }
 
 // Digest answers a delta-planning or anti-entropy probe in O(1): the
@@ -692,7 +675,7 @@ func (pt *Partition) State() PartitionState {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	return PartitionState{
-		Entries:  pt.entriesAbove(0, true),
+		Entries:  pt.sortedEntries(),
 		MaxVer:   pt.maxVer,
 		Resident: pt.resident,
 		Sessions: append([]Session(nil), pt.sessions...),

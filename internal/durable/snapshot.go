@@ -32,7 +32,7 @@ func appendSnapshot(buf []byte, pt *Partition) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	entries := pt.entriesAbove(0, true)
+	entries := pt.sortedEntries()
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = appendEntry(buf, e.Key, e.Ver, e.Val)

@@ -31,14 +31,6 @@ const (
 	SeriesAliveServers   = "alive_servers"    // Fig. 10 context
 	SeriesLostPartitions = "lost_partitions"  // extra: durability check
 
-	// Consistency-extension series, recorded only when the engine runs
-	// with writes enabled (Config.WriteLambda > 0).
-	SeriesStalenessMean = "staleness_mean" // post-sync mean replica lag (versions)
-	SeriesStalenessMax  = "staleness_max"  // post-sync max replica lag
-	SeriesStaleFrac     = "stale_frac"     // fraction of replicas lagging >= 1
-	SeriesSyncBytes     = "sync_bytes"     // cumulative anti-entropy traffic
-	SeriesLostWrites    = "lost_writes"    // cumulative writes lost to stale promotion
-
 	// Per-epoch decision activity (not cumulative): how many actions of
 	// each kind the policy executed this epoch.
 	SeriesReplActions    = "repl_actions"

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/durable"
@@ -227,4 +228,16 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 		DeltaBytes:    hier,
 		Ratio:         float64(flat) / float64(hier),
 	}
+}
+
+// appendAEDiff encodes the flat (PR 9) digest-reply shape: the
+// divergent bucket indexes, then the replier's entries for those
+// buckets as a standard entry block. The live protocol no longer ships
+// this frame; MeasureAERepair prices it as the flat baseline.
+func appendAEDiff(dst []byte, buckets []int, entries []durable.Entry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
+	for _, b := range buckets {
+		dst = binary.AppendUvarint(dst, uint64(b))
+	}
+	return appendEntries(dst, entries)
 }

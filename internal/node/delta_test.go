@@ -35,15 +35,22 @@ func TestXferInfoRoundTrip(t *testing.T) {
 	if resident, _, _, err := decodeXferInfo(nil); err != nil || resident {
 		t.Fatalf("empty info: resident=%v err=%v", resident, err)
 	}
+	// A resident digest with an empty leaf vector is well-formed too; the
+	// planner, not the decoder, rejects a shape that is not aeTop wide.
+	if resident, got, root, err := decodeXferInfo(appendXferInfo(nil, true, nil, 7)); err != nil || !resident || len(got) != 0 || root != 7 {
+		t.Fatalf("empty digest: resident=%v leaves=%v root=%d err=%v", resident, got, root, err)
+	}
 }
 
 func TestDecodeXferInfoRejectsCorrupt(t *testing.T) {
 	good := appendXferInfo(nil, true, make([]uint64, aeTop), 1)
 	cases := map[string][]byte{
 		"unknown flags":  {7},
+		"missing digest": {1},
 		"truncated leaf": good[:len(good)-9],
 		"missing root":   good[:len(good)-8],
 		"trailing":       append(append([]byte{}, good...), 0),
+		"count bomb":     binary.AppendUvarint([]byte{1}, 1<<20),
 	}
 	for name, buf := range cases {
 		if _, _, _, err := decodeXferInfo(buf); err == nil {
@@ -297,7 +304,7 @@ func TestStaleWatermarkFallsBackToFull(t *testing.T) {
 	// The target is resident-empty (the store default) with a watermark
 	// asserting coverage it does not have: an earlier session's begin
 	// adopted the source's maxVer and then delivered nothing.
-	if _, _, _, err := dst.store.Part(p).BeginInbound(1, 0, false, 50); err != nil {
+	if _, err := dst.store.Part(p).BeginInbound(1, 0, false, 50); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,7 +355,7 @@ func TestDeltaBucketFilteredRepairsHole(t *testing.T) {
 	if err := dst.store.Part(p).MergeSnapshot(entries[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := dst.store.Part(p).BeginInbound(1, 0, false, 3); err != nil {
+	if _, err := dst.store.Part(p).BeginInbound(1, 0, false, 3); err != nil {
 		t.Fatal(err)
 	}
 

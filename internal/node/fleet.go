@@ -11,7 +11,7 @@ import (
 
 // Fleet is a multi-node loopback harness: it builds N nodes over one
 // in-process transport network and drives them in lockstep epochs.
-// It exists for tests, the rfhbench transport suite and the chaos
+// It exists for tests, the repair measurements and the chaos
 // harness — a real deployment runs one cmd/rfhnode per machine
 // instead.
 type Fleet struct {

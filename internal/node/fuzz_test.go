@@ -1,0 +1,193 @@
+package node
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+
+	"repro/internal/durable"
+)
+
+// FuzzWireBlobs fuzzes every payload decoder of the node protocol with
+// the same three properties: no input panics, no accepted input decodes
+// into more elements than it has bytes (every element costs at least
+// one, so a larger count means a length was trusted unchecked), and
+// any accepted input re-encodes to bytes that decode to an equal value.
+// Every decoder sees every input, so a seed laid out for one blob shape
+// also probes the others.
+func FuzzWireBlobs(f *testing.F) {
+	for _, seed := range wireBlobSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, check := range wireBlobs {
+			check(t, data)
+		}
+	})
+}
+
+// blobCodec binds a decoder to its element count and its encoder and
+// returns the FuzzWireBlobs property check over them.
+func blobCodec[T any](name string, decode func([]byte) (T, error), elems func(T) int, encode func(T) []byte) func(*testing.T, []byte) {
+	return func(t *testing.T, data []byte) {
+		v, err := decode(data)
+		if err != nil {
+			return
+		}
+		if n := elems(v); n > len(data) {
+			t.Fatalf("%s: %d input bytes decoded into %d elements", name, len(data), n)
+		}
+		enc := encode(v)
+		v2, err := decode(enc)
+		if err != nil {
+			t.Fatalf("%s: re-decode of accepted input failed: %v\ninput      %x\nre-encoded %x", name, err, data, enc)
+		}
+		if !reflect.DeepEqual(v, v2) {
+			t.Fatalf("%s: decode→encode→decode changed the value:\nfirst  %+v\nsecond %+v\ninput %x", name, v, v2, data)
+		}
+	}
+}
+
+// Multi-result decoders, folded into one comparable value each.
+type (
+	fuzzXferInfo struct {
+		resident bool
+		leaves   []uint64
+		root     uint64
+	}
+	fuzzXferBegin struct {
+		total uint32
+		mark  bool
+	}
+	fuzzAESub struct {
+		tops []int
+		subs [][]uint64
+	}
+	fuzzAEKeylists struct {
+		subIdx []int
+		lists  [][]aeKeyVer
+	}
+)
+
+// wireBlobs bounds decodeStats and decodeAckSet as the round-trip tests
+// do, so their seeds decode.
+var wireBlobs = []func(*testing.T, []byte){
+	blobCodec("stats",
+		func(b []byte) (*statsBlob, error) { return decodeStats(b, 8, 3) },
+		func(s *statsBlob) int {
+			n := len(s.counters) + len(s.claims) + len(s.digests)
+			for _, c := range s.claims {
+				n += len(c.replicas)
+			}
+			for _, d := range s.digests {
+				n += len(d.leaves)
+			}
+			return n
+		},
+		func(s *statsBlob) []byte { return appendStats(nil, s) }),
+	blobCodec("xfer-info",
+		func(b []byte) (fuzzXferInfo, error) {
+			resident, leaves, root, err := decodeXferInfo(b)
+			return fuzzXferInfo{resident, leaves, root}, err
+		},
+		func(x fuzzXferInfo) int { return len(x.leaves) },
+		func(x fuzzXferInfo) []byte { return appendXferInfo(nil, x.resident, x.leaves, x.root) }),
+	blobCodec("xfer-begin",
+		func(b []byte) (fuzzXferBegin, error) {
+			total, mark, err := decodeXferBegin(b)
+			return fuzzXferBegin{total, mark}, err
+		},
+		func(fuzzXferBegin) int { return 1 },
+		func(x fuzzXferBegin) []byte { return appendXferBegin(nil, x.total, x.mark) }),
+	blobCodec("ae-sub",
+		func(b []byte) (fuzzAESub, error) {
+			tops, subs, err := decodeAESub(b)
+			return fuzzAESub{tops, subs}, err
+		},
+		func(x fuzzAESub) int {
+			n := len(x.tops)
+			for _, s := range x.subs {
+				n += len(s)
+			}
+			return n
+		},
+		func(x fuzzAESub) []byte { return appendAESub(nil, x.tops, x.subs) }),
+	blobCodec("ae-keylists",
+		func(b []byte) (fuzzAEKeylists, error) {
+			subIdx, lists, err := decodeAEKeylists(b)
+			return fuzzAEKeylists{subIdx, lists}, err
+		},
+		func(x fuzzAEKeylists) int {
+			n := len(x.subIdx)
+			for _, l := range x.lists {
+				n += len(l)
+			}
+			return n
+		},
+		func(x fuzzAEKeylists) []byte { return appendAEKeylists(nil, x.subIdx, x.lists) }),
+	blobCodec("ae-keys", decodeAEKeys,
+		func(keys []string) int { return len(keys) },
+		func(keys []string) []byte { return appendAEKeys(nil, keys) }),
+	blobCodec("snapshot", decodeSnapshot,
+		func(entries []durable.Entry) int { return len(entries) },
+		func(entries []durable.Entry) []byte { return appendEntries(nil, entries) }),
+	blobCodec("ack-set",
+		func(b []byte) ([]int, error) { return decodeAckSet(b, 5) },
+		func(acked []int) int { return len(acked) },
+		func(acked []int) []byte { return appendAckSet(nil, acked) }),
+}
+
+// wireBlobSeeds lays out the round-trip tests' values in every blob
+// shape, plus the corrupt shapes their rejection tables enumerate.
+func wireBlobSeeds() [][]byte {
+	leaves := make([]uint64, aeTop)
+	for i := range leaves {
+		leaves[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	subs := make([][]uint64, 3)
+	for i := range subs {
+		subs[i] = leaves[:aeFanout]
+	}
+	return [][]byte{
+		appendStats(nil, &statsBlob{}),
+		appendStats(nil, &statsBlob{
+			counters: []partitionCounters{
+				{partition: 0, origin: 3, transit: 1, served: 4},
+				{partition: 7, transit: 9, served: 2, overflow: 5},
+			},
+			claims: []placementClaim{
+				{partition: 0, primary: 1, replicas: []int{0, 1, 2}},
+				{partition: 7, primary: 2, replicas: []int{2}},
+			},
+			digests: []aePartitionDigest{{partition: 1, root: 77, leaves: leaves}},
+		}),
+		appendXferInfo(nil, true, leaves, 42),
+		appendXferInfo(nil, true, nil, 7),
+		appendXferInfo(nil, false, nil, 0),
+		appendXferBegin(nil, 0, false),
+		appendXferBegin(nil, 17, true),
+		appendXferBegin(nil, 1<<32-1, true),
+		appendAESub(nil, []int{0, 5, aeTop - 1}, subs),
+		appendAEKeylists(nil, []int{3, 700, aeSubCount - 1}, [][]aeKeyVer{
+			{{key: "a", ver: 1}, {key: "bb", ver: 1 << 40}},
+			{},
+			{{key: "", ver: 0}},
+		}),
+		appendAEKeys(nil, []string{"", "k", "a-much-longer-key"}),
+		appendEntries(nil, []durable.Entry{
+			{Key: "alpha", Val: []byte("1"), Ver: 7},
+			{Key: "beta", Val: []byte{}, Ver: 0},
+			{Key: "gamma", Val: bytes.Repeat([]byte("x"), 300), Ver: 9<<20 | 3},
+		}),
+		appendAckSet(nil, []int{0, 2, 4}),
+		// Corrupt shapes: empty, unknown flags, length and count bombs.
+		{},
+		{7},
+		{1, 0xFF},
+		{1, 2, 1, 0xFF},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		binary.AppendUvarint([]byte{1}, 1<<20),
+		binary.AppendUvarint(nil, 1<<40),
+	}
+}

@@ -25,18 +25,17 @@ import (
 // carries the target's version watermark plus its transfer info
 // (residency + live AE top digest), and the source plans from it:
 //
-//   - Target resident, digest agrees with the source's tree restricted
-//     to entries at-or-below the watermark → only entries strictly
-//     above the watermark ship (frozen via the partition's
-//     above-watermark iteration).
-//   - Target resident, digest disagrees on some top buckets → entries
-//     above the watermark ship plus the full content of the divergent
-//     buckets (a hole below the watermark always dirties its bucket,
-//     so bucket-filtered shipping is exactly as safe as full).
+//   - Target resident → a filtered plan: entries strictly above the
+//     watermark ship, plus the full content of every top bucket where
+//     the target's digest disagrees with the source's tree restricted
+//     to entries at-or-below the watermark (a hole below the watermark
+//     always dirties its bucket, so bucket-filtered shipping is exactly
+//     as safe as full). With no divergent bucket only the above-
+//     watermark entries ship — the repeat-migration fast path.
 //   - Target not resident (fresh holder, restarted node, stale/absent
-//     digest) → full frozen snapshot, as before. A non-resident
-//     watermark is never trusted: begins durably adopt the source's
-//     maxVer up front, so it does not describe content coverage.
+//     digest) → full frozen snapshot. A non-resident watermark is never
+//     trusted: begins durably adopt the source's maxVer up front, so it
+//     does not describe content coverage.
 //
 // A delta session never marks the target resident on completion — the
 // target already was resident, and a session invalidated mid-flight
@@ -123,17 +122,17 @@ func (n *Node) TransferStats() TransferStats {
 }
 
 // startTransferLocked opens an outbound session for partition p toward
-// target and takes the compaction hold; the snapshot itself is frozen
-// later, by the first pump's delta-planning probe. Callers hold n.mu;
-// an existing live session for the same (partition, target) pair is
-// left alone — its frozen state is already on the way, and
-// syncs/read-repair heal anything newer.
-func (n *Node) startTransferLocked(p, target int, mark bool) {
+// target, takes the compaction hold and returns the session; the
+// snapshot itself is frozen later, by the first pump's delta-planning
+// probe. Callers hold n.mu; an existing live session for the same
+// (partition, target) pair is returned as is — its frozen state is
+// already on the way, and syncs/read-repair heal anything newer.
+func (n *Node) startTransferLocked(p, target int, mark bool) *xferSession {
 	n.xmu.Lock()
 	defer n.xmu.Unlock()
 	for _, s := range n.xfers {
 		if s.p == p && s.target == target {
-			return
+			return s
 		}
 	}
 	part := n.store.Part(p)
@@ -148,6 +147,7 @@ func (n *Node) startTransferLocked(p, target int, mark bool) {
 	}
 	n.xfers = append(n.xfers, s)
 	n.xstats.Started++
+	return s
 }
 
 // planSession freezes the session's chunk set from the target's probe
@@ -158,16 +158,15 @@ func (n *Node) startTransferLocked(p, target int, mark bool) {
 // Runs lock-free on the owning pump; the caller writes the plan back
 // under xmu.
 func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunks [][]durable.Entry, maxVer uint64, delta bool, saved int64) {
+	entries, ver := s.part.Entries()
 	resident, leaves, _, err := decodeXferInfo(info)
 	if err != nil || !resident || len(leaves) != aeTop {
 		// Non-resident target (or a malformed/absent digest): its
 		// watermark does not describe content coverage — begins adopt the
 		// source's maxVer durably before any entry lands — so nothing
 		// below it can be skipped. Ship the full frozen snapshot.
-		entries, ver := s.part.Entries()
 		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
 	}
-	entries, ver := s.part.Entries()
 	below := NewAETree()
 	for _, e := range entries {
 		if e.Ver <= watermark {
@@ -176,31 +175,13 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 	}
 	mine := below.Leaves()
 	var divergent [aeTop]bool
-	anyDivergent := false
-	for b := 0; b < aeTop; b++ {
-		if leaves[b] != mine[b] {
-			divergent[b] = true
-			anyDivergent = true
-		}
+	for b := range divergent {
+		divergent[b] = leaves[b] != mine[b]
 	}
-	if !anyDivergent {
-		// The target holds exactly the source's at-or-below-watermark
-		// content: only entries strictly above the watermark ship, frozen
-		// through the partition's above-watermark iteration — the
-		// repeat-migration fast path. A plan that keeps everything anyway (resident-but-empty
-		// target at watermark 0) is a full plan, not a delta: it must
-		// keep its residency-marking power and counts nothing as saved.
-		kept, kver := s.part.EntriesAbove(watermark)
-		saved = int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
-		if saved <= 0 {
-			return sliceChunks(kept, n.cfg.TransferChunkEntries), kver, false, 0
-		}
-		return sliceChunks(kept, n.cfg.TransferChunkEntries), kver, true, saved
-	}
-	// Some buckets disagree below the watermark: ship everything above
-	// it plus the full content of the divergent buckets. A hole or stale
-	// entry at the target always dirties its covering bucket, so this is
-	// exactly as safe as a full snapshot.
+	// Ship everything above the watermark plus the full content of the
+	// buckets that disagree below it. A hole or stale entry at the target
+	// always dirties its covering bucket, so this is exactly as safe as a
+	// full snapshot.
 	kept := make([]durable.Entry, 0, len(entries))
 	for _, e := range entries {
 		if e.Ver > watermark || divergent[aeBucket(e.Key)] {
@@ -208,6 +189,9 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 		}
 	}
 	if len(kept) == len(entries) {
+		// A plan that keeps everything anyway (say a resident-but-empty
+		// target at watermark 0) is a full plan, not a delta: it keeps its
+		// residency-marking power and counts nothing as saved.
 		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
 	}
 	saved = int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
@@ -332,20 +316,8 @@ func (n *Node) shipPartition(p, target int, ver uint64) bool {
 	// the plan (and therefore the freeze) happens inside the first pump.
 	for round := 0; round < 2; round++ {
 		n.mu.RLock()
-		n.startTransferLocked(p, target, true)
+		sess := n.startTransferLocked(p, target, true)
 		n.mu.RUnlock()
-		n.xmu.Lock()
-		var sess *xferSession
-		for _, s := range n.xfers {
-			if s.p == p && s.target == target {
-				sess = s
-				break
-			}
-		}
-		n.xmu.Unlock()
-		if sess == nil {
-			return false
-		}
 		if !n.pumpSession(sess) {
 			return false
 		}
@@ -368,20 +340,8 @@ func (n *Node) shipPartition(p, target int, ver uint64) bool {
 //lint:requires-unlocked n.mu
 func (n *Node) TransferPartition(p, target int) bool {
 	n.mu.RLock()
-	n.startTransferLocked(p, target, true)
+	sess := n.startTransferLocked(p, target, true)
 	n.mu.RUnlock()
-	n.xmu.Lock()
-	var sess *xferSession
-	for _, s := range n.xfers {
-		if s.p == p && s.target == target {
-			sess = s
-			break
-		}
-	}
-	n.xmu.Unlock()
-	if sess == nil {
-		return false
-	}
 	return n.pumpSession(sess)
 }
 
@@ -623,23 +583,12 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 		return nil, err
 	}
 	n.mu.RLock()
-	next, prevVer, wasResident, err := n.store.Part(p).BeginInbound(req.Session, total, mark, req.Version)
+	next, err := n.store.Part(p).BeginInbound(req.Session, total, mark, req.Version)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	// Echo the pre-session watermark and residency so a source that
-	// skipped the cursor probe (or raced another session's begin) still
-	// learns what the target held before adoption.
-	var info []byte
-	if wasResident {
-		_, _, leaves, root := n.store.Part(p).Digest()
-		info = appendXferInfo(nil, true, leaves, root)
-	} else {
-		info = appendXferInfo(nil, false, nil, 0)
-	}
-	return &transport.Message{Kind: KindXferBegin, Partition: req.Partition, Session: req.Session,
-		Cursor: next, Version: prevVer, Value: info}, nil
+	return &transport.Message{Kind: KindXferBegin, Partition: req.Partition, Session: req.Session, Cursor: next}, nil
 }
 
 func (n *Node) handleXferChunk(req *transport.Message) (*transport.Message, error) {

@@ -53,10 +53,9 @@ const (
 	// completion marks the target resident). The StatusOK reply's Cursor
 	// is the next chunk the target wants — 0 for a fresh session, higher
 	// when the target recovered a resume cursor, xferComplete when the
-	// session already finished (replayed begin); the reply additionally
-	// carries the target's pre-session version watermark in Version and
-	// its transfer-info blob (residency + AE top digest) in Value, so the
-	// source can audit what the delta plan was built against.
+	// session already finished (replayed begin). The delta plan was
+	// already built from the cursor probe's reply, so the begin reply
+	// carries nothing else.
 	KindXferBegin uint8 = 9
 	// KindXferChunk carries one chunk of entries: Cursor is the chunk
 	// index, Value the entry block. The reply echoes the next wanted
@@ -455,59 +454,12 @@ func appendAEDigest(dst []byte, leaves []uint64, root uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, root)
 }
 
-// decodeAEDigest parses a standalone digest blob. The leaf count is
-// bounded loosely (a digest is a fixed-shape blob, not a data carrier);
-// a count disagreeing with the local tree shape simply marks every
-// bucket divergent at the comparison site.
-func decodeAEDigest(buf []byte) (leaves []uint64, root uint64, err error) {
-	r := &uvarintReader{buf: buf}
-	leaves, root = r.readAEDigest()
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, 0, fmt.Errorf("node: %d trailing bytes after AE digest", len(r.buf))
-	}
-	return leaves, root, nil
-}
-
-// appendAEDiff encodes the flat (PR 9) digest-reply shape: the
-// divergent bucket indexes, then the replier's entries for those
-// buckets as a standard entry block. The live protocol no longer ships
-// this frame — it is retained (with its decoder) as the measured
-// baseline of the repair bench suite.
-func appendAEDiff(dst []byte, buckets []int, entries []durable.Entry) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
-	for _, b := range buckets {
-		dst = binary.AppendUvarint(dst, uint64(b))
-	}
-	return appendEntries(dst, entries)
-}
-
-// decodeAEDiff parses a flat diff blob. maxBucket bounds every bucket
-// index (the local tree's leaf count).
-func decodeAEDiff(buf []byte, maxBucket int) (buckets []int, entries []durable.Entry, err error) {
-	r := &uvarintReader{buf: buf}
-	n := r.nextInt(maxBucket)
-	for i := 0; i < n && r.err == nil; i++ {
-		buckets = append(buckets, r.nextInt(maxBucket-1))
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	entries, err = decodeSnapshot(r.buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buckets, entries, nil
-}
-
 // appendXferInfo encodes a transfer-info blob, carried in the Value of
-// begin replies and unknown-session cursor-probe replies: one flags
-// byte (bit 0 = the partition is resident at the target), then — for
-// resident targets only — the target's AE top digest. Paired with the
-// reply's Version field (the target's pre-session maxVer watermark) it
-// is everything the source needs to plan a delta.
+// unknown-session cursor-probe replies: one flags byte (bit 0 = the
+// partition is resident at the target), then — for resident targets
+// only — the target's AE top digest. Paired with the reply's Version
+// field (the target's pre-session maxVer watermark) it is everything
+// the source needs to plan a delta.
 func appendXferInfo(dst []byte, resident bool, leaves []uint64, root uint64) []byte {
 	if !resident {
 		return append(dst, 0)
@@ -682,10 +634,12 @@ func decodeAEKeys(buf []byte) ([]string, error) {
 }
 
 // decodeAckSet parses a KindPut response's ack set. peers bounds both
-// the count and every index.
+// the count and every index; the count is also bounded by the buffer
+// (an index costs ≥1 byte), so DecodePutReceipt's loose bound cannot
+// size an allocation from a few bytes.
 func decodeAckSet(buf []byte, peers int) ([]int, error) {
 	r := &uvarintReader{buf: buf}
-	n := r.nextInt(peers)
+	n := r.nextInt(min(peers, len(buf)))
 	acked := make([]int, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		acked = append(acked, r.nextInt(peers-1))

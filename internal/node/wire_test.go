@@ -3,7 +3,9 @@ package node
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/durable"
@@ -155,6 +157,24 @@ func TestDecodeAckSetRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeAckSetCountBoundedByInput pins that a count no buffer could
+// hold is refused before it sizes an allocation, even under
+// DecodePutReceipt's loose roster bound.
+func TestDecodeAckSetCountBoundedByInput(t *testing.T) {
+	bomb := binary.AppendUvarint(nil, 1<<19)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, err := decodeAckSet(bomb, 1<<20); err == nil {
+			t.Fatal("ack-set count bomb accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("10 decodes of a %d-byte count bomb allocated %d bytes", len(bomb), got)
+	}
+}
+
 func TestXferBeginRoundTrip(t *testing.T) {
 	cases := []struct {
 		total uint32
@@ -189,13 +209,24 @@ func TestDecodeXferBeginRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// readDigestBlob reads buf as exactly one AE digest, as the stats and
+// transfer-info decoders embed it, refusing trailing bytes.
+func readDigestBlob(buf []byte) ([]uint64, uint64, error) {
+	r := &uvarintReader{buf: buf}
+	leaves, root := r.readAEDigest()
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes after AE digest", len(r.buf))
+	}
+	return leaves, root, r.err
+}
+
 func TestAEDigestRoundTrip(t *testing.T) {
 	leaves := make([]uint64, aeTop)
 	for i := range leaves {
 		leaves[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
 	enc := appendAEDigest(nil, leaves, 0xDEADBEEF)
-	got, root, err := decodeAEDigest(enc)
+	got, root, err := readDigestBlob(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +239,7 @@ func TestAEDigestRoundTrip(t *testing.T) {
 		}
 	}
 	// The empty vector (zero leaves + root) is legal too.
-	if _, root, err := decodeAEDigest(appendAEDigest(nil, nil, 7)); err != nil || root != 7 {
+	if _, root, err := readDigestBlob(appendAEDigest(nil, nil, 7)); err != nil || root != 7 {
 		t.Fatalf("empty digest: root %d err %v", root, err)
 	}
 }
@@ -223,53 +254,8 @@ func TestDecodeAEDigestRejectsCorrupt(t *testing.T) {
 		"count bomb":     binary.AppendUvarint(nil, 1<<20),
 	}
 	for name, buf := range cases {
-		if _, _, err := decodeAEDigest(buf); err == nil {
+		if _, _, err := readDigestBlob(buf); err == nil {
 			t.Errorf("%s: corrupt AE digest accepted", name)
-		}
-	}
-}
-
-func TestAEDiffRoundTrip(t *testing.T) {
-	buckets := []int{0, 7, 63}
-	entries := []durable.Entry{
-		{Key: "a", Ver: 3, Val: []byte("av")},
-		{Key: "b", Ver: 9, Val: nil},
-	}
-	enc := appendAEDiff(nil, buckets, entries)
-	gb, ge, err := decodeAEDiff(enc, aeTop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gb) != len(buckets) || len(ge) != len(entries) {
-		t.Fatalf("round-trip gave %d buckets, %d entries", len(gb), len(ge))
-	}
-	for i, b := range buckets {
-		if gb[i] != b {
-			t.Fatalf("bucket %d round-tripped to %d, want %d", i, gb[i], b)
-		}
-	}
-	for i, e := range entries {
-		if ge[i].Key != e.Key || ge[i].Ver != e.Ver || string(ge[i].Val) != string(e.Val) {
-			t.Fatalf("entry %d round-tripped to %+v, want %+v", i, ge[i], e)
-		}
-	}
-	// Empty diff = trees agree: no buckets, no entries.
-	if gb, ge, err := decodeAEDiff(appendAEDiff(nil, nil, nil), aeTop); err != nil || len(gb) != 0 || len(ge) != 0 {
-		t.Fatalf("empty diff: %v %v %v", gb, ge, err)
-	}
-}
-
-func TestDecodeAEDiffRejectsCorrupt(t *testing.T) {
-	good := appendAEDiff(nil, []int{1, 2}, []durable.Entry{{Key: "k", Ver: 1, Val: []byte("v")}})
-	cases := map[string][]byte{
-		"empty input":         {},
-		"bucket out of range": appendAEDiff(nil, []int{aeTop}, nil),
-		"truncated entries":   good[:len(good)-1],
-		"trailing":            append(append([]byte{}, good...), 0),
-	}
-	for name, buf := range cases {
-		if _, _, err := decodeAEDiff(buf, aeTop); err == nil {
-			t.Errorf("%s: corrupt AE diff accepted", name)
 		}
 	}
 }

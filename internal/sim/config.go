@@ -39,17 +39,6 @@ type Config struct {
 	Workers int
 	// Seed drives every stochastic choice of the engine and policies.
 	Seed uint64
-	// WriteLambda, when positive, enables the consistency-maintenance
-	// extension (the paper's named future work): each partition receives
-	// Poisson(WriteLambda) writes per epoch at its primary, and replicas
-	// catch up asynchronously. Zero disables the subsystem.
-	WriteLambda float64
-	// WriteDeltaSize is the bytes one version transfer costs (default
-	// 4 KB when WriteLambda is enabled).
-	WriteDeltaSize int64
-	// SyncBandwidth is the per-server anti-entropy budget in bytes per
-	// epoch (default 1 MB when WriteLambda is enabled).
-	SyncBandwidth int64
 	// Latency maps lookup hops to response time for the SLA series
 	// (zero value selects metrics.DefaultLatencyModel).
 	Latency metrics.LatencyModel
@@ -126,12 +115,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: workers must be non-negative")
 	case c.Serving != ServeNearest && c.Serving != ServePath:
 		return fmt.Errorf("sim: unknown serving model %d", c.Serving)
-	case c.WriteLambda < 0:
-		return fmt.Errorf("sim: write lambda must be non-negative")
-	case c.WriteLambda > 0 && c.WriteDeltaSize < 0:
-		return fmt.Errorf("sim: write delta size must be non-negative")
-	case c.WriteLambda > 0 && c.SyncBandwidth < 0:
-		return fmt.Errorf("sim: sync bandwidth must be non-negative")
 	case c.ChurnFailProb < 0 || c.ChurnFailProb >= 1:
 		return fmt.Errorf("sim: churn probability %g outside [0,1)", c.ChurnFailProb)
 	case c.ChurnMTTR < 0:

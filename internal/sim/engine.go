@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/availability"
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/policy"
@@ -46,11 +45,6 @@ type Engine struct {
 	failures    []FailureEvent
 	minReplicas int
 	epoch       int
-
-	// Consistency-maintenance extension (nil unless WriteLambda > 0).
-	writes   *consistency.Tracker
-	writeRNG *stats.RNG
-	lastSync consistency.SyncStats
 
 	// Churn state: epoch at which a churn-failed server recovers.
 	churnRNG  *stats.RNG
@@ -176,22 +170,6 @@ func New(cl *cluster.Cluster, rt *network.Router, gen workload.Generator, pol po
 			return nil, err
 		}
 	}
-	if cfg.WriteLambda > 0 {
-		delta := cfg.WriteDeltaSize
-		if delta == 0 {
-			delta = 4 << 10
-		}
-		syncBW := cfg.SyncBandwidth
-		if syncBW == 0 {
-			syncBW = 1 << 20
-		}
-		tr, err := consistency.New(cl.NumPartitions(), delta, syncBW)
-		if err != nil {
-			return nil, err
-		}
-		e.writes = tr
-		e.writeRNG = stats.NewRNG(cfg.Seed ^ 0x3217E5)
-	}
 	if cfg.ChurnFailProb > 0 {
 		e.churnRNG = stats.NewRNG(cfg.Seed ^ 0xC4012)
 		e.downUntil = make(map[cluster.ServerID]int)
@@ -295,28 +273,10 @@ func (e *Engine) Step() error {
 	}
 	dec := e.pol.Decide(ctx)
 	e.applyDecision(dec)
-	e.stepConsistency(t)
 
 	e.recordEpoch(demand)
 	e.epoch++
 	return nil
-}
-
-// stepConsistency runs one epoch of the write/anti-entropy extension:
-// Poisson writes land at each primary, the tracker reconciles against
-// whatever placement the policy produced, and replicas catch up within
-// their sync budgets. The resulting staleness series are recorded by
-// recordEpoch.
-func (e *Engine) stepConsistency(t int) {
-	if e.writes == nil {
-		return
-	}
-	rng := e.writeRNG.Stream(uint64(t))
-	for p := 0; p < e.cluster.NumPartitions(); p++ {
-		e.writes.ApplyWrites(p, rng.Poisson(e.cfg.WriteLambda))
-	}
-	e.writes.Reconcile(e.cluster)
-	e.lastSync = e.writes.SyncEpoch(e.cluster)
 }
 
 // applyChurn fails each alive server independently with the configured
@@ -786,13 +746,6 @@ func (e *Engine) recordEpoch(demand *workload.Matrix) {
 	e.rec.Append(metrics.SeriesSLAFrac, sla.WithinSLA)
 	e.rec.Append(metrics.SeriesLatencyMean, sla.MeanMs)
 	e.rec.Append(metrics.SeriesLatencyP999, sla.P999Ms)
-	if e.writes != nil {
-		e.rec.Append(metrics.SeriesStalenessMean, e.lastSync.MeanStaleness)
-		e.rec.Append(metrics.SeriesStalenessMax, float64(e.lastSync.MaxStaleness))
-		e.rec.Append(metrics.SeriesStaleFrac, e.lastSync.StaleReplicaFrac)
-		e.rec.Append(metrics.SeriesSyncBytes, float64(e.writes.SyncBytes()))
-		e.rec.Append(metrics.SeriesLostWrites, float64(e.writes.LostWrites()))
-	}
 }
 
 func safeDiv(a, b float64) float64 {

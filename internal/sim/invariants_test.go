@@ -83,9 +83,6 @@ func TestChaosInvariants(t *testing.T) {
 			cfg.ChurnFailProb = 0.02 * rng.Float64()
 			cfg.ChurnMTTR = 5 + rng.Intn(10)
 		}
-		if rng.Bool(0.3) {
-			cfg.WriteLambda = float64(5 + rng.Intn(30))
-		}
 		eng, err := New(cl, rt, gen, pol, cfg)
 		if err != nil {
 			return false

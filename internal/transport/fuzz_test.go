@@ -43,16 +43,18 @@ func FuzzDecodeMessage(f *testing.F) {
 		// payload encoders are out of reach here, so the blobs are
 		// hand-laid in their wire shapes: a sub-digest request carrying
 		// one top bucket's 64 leaf hashes, its keylist reply (one
-		// sub-bucket, one key/version pair), an ae-fetch key list, and
-		// cursor/begin replies whose Version rides a target watermark
+		// sub-bucket, one key/version pair), an ae-fetch key list,
+		// cursor-probe replies whose Version rides a target watermark
 		// with a transfer-info blob (flags byte 1 + 64 leaves + root, or
-		// the one-byte non-resident form) in the Value.
+		// the one-byte non-resident form) in the Value, and a begin reply
+		// carrying only its cursor.
 		{Kind: 13, Partition: 5, Epoch: 97, Origin: 2, Value: append([]byte{1, 0}, make([]byte, 8*64)...)},
 		{Kind: 13, Status: StatusOK, Partition: 5, Value: []byte{1, 5, 1, 3, 'k', 'e', 'y', 9}},
 		{Kind: 15, Partition: 5, Epoch: 97, Origin: 2, Value: []byte{1, 3, 'k', 'e', 'y'}},
 		{Kind: 15, Status: StatusOK, Partition: 5, Value: []byte{1, 3, 'k', 'e', 'y', 9, 1, 'v'}},
 		{Kind: 11, Status: StatusNotFound, Partition: 3, Version: 1 << 21, Value: append([]byte{1}, make([]byte, 8*64+8)...)},
-		{Kind: 9, Status: StatusOK, Partition: 3, Session: 42, Version: 1 << 21, Value: []byte{0}},
+		{Kind: 11, Status: StatusNotFound, Partition: 3, Session: 42, Version: 1 << 21, Value: []byte{0}},
+		{Kind: 9, Status: StatusOK, Partition: 3, Session: 42, Cursor: 5},
 	}
 	for _, m := range seeds {
 		f.Add(AppendMessage(nil, m))

@@ -60,13 +60,6 @@ const (
 	SeriesAliveServers   = metrics.SeriesAliveServers
 	SeriesLostPartitions = metrics.SeriesLostPartitions
 
-	// Consistency-extension series, present when Config.WriteLambda > 0.
-	SeriesStalenessMean = metrics.SeriesStalenessMean
-	SeriesStalenessMax  = metrics.SeriesStalenessMax
-	SeriesStaleFrac     = metrics.SeriesStaleFrac
-	SeriesSyncBytes     = metrics.SeriesSyncBytes
-	SeriesLostWrites    = metrics.SeriesLostWrites
-
 	// Per-epoch decision activity.
 	SeriesReplActions    = metrics.SeriesReplActions
 	SeriesMigrActions    = metrics.SeriesMigrActions
@@ -164,17 +157,6 @@ type Config struct {
 	// eq. 2–6 overflow chain, default) or "nearest" (idealised direct
 	// lookup).
 	Serving string
-
-	// WriteLambda, when positive, enables the consistency-maintenance
-	// extension: Poisson(WriteLambda) writes per partition per epoch
-	// land at primaries and replicas catch up asynchronously, producing
-	// the SeriesStaleness* series.
-	WriteLambda float64
-	// WriteDeltaSize is the bytes one version transfer costs (0 = 4 KB).
-	WriteDeltaSize int64
-	// SyncBandwidth is the per-server anti-entropy budget in bytes per
-	// epoch (0 = 1 MB).
-	SyncBandwidth int64
 
 	// ChurnFailProb, when positive, fails each alive server with this
 	// probability every epoch; servers recover after ChurnMTTR epochs
@@ -435,9 +417,6 @@ func assembleEngine(cfg Config, cl *cluster.Cluster, rt *network.Router, gen wor
 	scfg.Seed = cfg.Seed
 	scfg.ChurnFailProb = cfg.ChurnFailProb
 	scfg.ChurnMTTR = cfg.ChurnMTTR
-	scfg.WriteLambda = cfg.WriteLambda
-	scfg.WriteDeltaSize = cfg.WriteDeltaSize
-	scfg.SyncBandwidth = cfg.SyncBandwidth
 	if cfg.HopLatencyMs != 0 || cfg.ServiceLatencyMs != 0 || cfg.SLAThresholdMs != 0 {
 		lm := metrics.DefaultLatencyModel()
 		if cfg.HopLatencyMs != 0 {

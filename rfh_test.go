@@ -274,21 +274,6 @@ func TestSLAFacade(t *testing.T) {
 	}
 }
 
-func TestConsistencyFacade(t *testing.T) {
-	cfg := quickConfig()
-	cfg.WriteLambda = 25
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series(SeriesStalenessMean)) != cfg.Epochs {
-		t.Fatal("staleness series missing")
-	}
-	if res.Final(SeriesSyncBytes) == 0 {
-		t.Fatal("no sync traffic")
-	}
-}
-
 func TestJoinFacade(t *testing.T) {
 	cfg := quickConfig()
 	res, err := RunWithFailures(cfg, []FailureEvent{{Epoch: 5, JoinDCs: []int{0, 1}}})
