@@ -173,36 +173,3 @@ func BenchmarkAblationDelta(b *testing.B)   { ablationBench(b, "delta") }
 func BenchmarkAblationMu(b *testing.B)      { ablationBench(b, "mu") }
 func BenchmarkAblationHubK(b *testing.B)    { ablationBench(b, "hubK") }
 func BenchmarkAblationServing(b *testing.B) { ablationBench(b, "serving") }
-
-// BenchmarkEpoch measures the raw simulation engine throughput: one
-// full epoch (64 partitions, 100 servers, routing + serving + policy)
-// per iteration.
-func BenchmarkEpoch(b *testing.B) {
-	cfg := rfh.DefaultConfig()
-	cfg.Epochs = b.N + 1
-	res, err := rfh.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-}
-
-// Scalability: epoch throughput as the world and the partition count
-// grow beyond the paper's dimensions (synthetic random-geometric
-// worlds, RFH policy, drifting-hotspot workload).
-func scaleBench(b *testing.B, dcs, partitions int) {
-	b.Helper()
-	cfg := rfh.DefaultConfig()
-	cfg.Workload = "drift"
-	cfg.WorldDCs = dcs
-	cfg.Partitions = partitions
-	cfg.Epochs = b.N + 1
-	if _, err := rfh.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkScale10DC64P(b *testing.B)   { scaleBench(b, 10, 64) }
-func BenchmarkScale25DC128P(b *testing.B)  { scaleBench(b, 25, 128) }
-func BenchmarkScale50DC256P(b *testing.B)  { scaleBench(b, 50, 256) }
-func BenchmarkScale100DC512P(b *testing.B) { scaleBench(b, 100, 512) }

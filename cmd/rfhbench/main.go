@@ -1,25 +1,21 @@
-// Command rfhbench measures the simulator's epoch loop and the live
-// runtime's repair bandwidth and writes the numbers as JSON.
+// Command rfhbench measures the live runtime's repair bandwidth and
+// gives profilers a loaded cluster to sample.
 //
-// The sim suite (default) times steady-state Engine.Step throughput at
-// the paper's seed scale (10 datacenters, 100 servers, 64 partitions)
-// and at ten times that — the source of the committed BENCH_sim.json
-// snapshot. The repair suite prices delta replication end to end:
-// bytes on the wire for a full re-migration against a
-// watermark-planned delta session at three divergence levels (real
-// transfer sessions over a tapped loopback fleet), and a flat
-// digest+diff anti-entropy repair against the hierarchical
-// sub-digest/keylist/fetch walk — the source of BENCH_repair.json.
-// The stress suite is a pprof-friendly hammer: a 3-node TCP fleet
-// under concurrent put/get load with epochs ticking underneath, meant
-// to be run with -cpuprofile. The live data plane's per-layer costs
-// (codec, TCP hop, AE tree update) are the benchmark/ ledger's rows.
+// The repair suite (default) prices delta replication end to end:
+// bytes on the wire for a full re-migration against a watermark-planned
+// delta session at three divergence levels (real transfer sessions over
+// a tapped loopback fleet), and a flat digest+diff anti-entropy repair
+// against the hierarchical sub-digest/keylist/fetch walk — the source
+// of BENCH_repair.json. The stress suite is a pprof-friendly hammer: a
+// 3-node TCP fleet under concurrent put/get load with epochs ticking
+// underneath, meant to be run with -cpuprofile. The live data plane's
+// per-layer costs (codec, TCP hop, AE tree update) are the benchmark/
+// ledger's rows; the simulator's epoch loop is timed by
+// `go test -bench BenchmarkStep ./internal/sim`.
 //
-//	rfhbench -o BENCH_sim.json
-//	rfhbench -suite repair -o BENCH_repair.json
-//	rfhbench -suite stress -cpuprofile cpu.pprof
-//	rfhbench -epochs 500 -warmup 50
-//	rfhbench -date 2026-08-01 -o BENCH_sim.json   # pinned stamp for reproducible diffs
+//	rfhbench -o BENCH_repair.json
+//	rfhbench -date 2026-08-01 -o BENCH_repair.json   # pinned stamp for reproducible diffs
+//	rfhbench -suite stress -epochs 100 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -32,104 +28,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/node"
-	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
-
-// scaleResult is one benchmark row of BENCH_sim.json.
-type scaleResult struct {
-	Name           string  `json:"name"`
-	DCs            int     `json:"dcs"`
-	Servers        int     `json:"servers"`
-	Partitions     int     `json:"partitions"`
-	Epochs         int     `json:"epochs"`
-	EpochsPerSec   float64 `json:"epochs_per_sec"`
-	NsPerEpoch     int64   `json:"ns_per_epoch"`
-	AllocsPerEpoch float64 `json:"allocs_per_epoch"`
-	BytesPerEpoch  float64 `json:"bytes_per_epoch"`
-}
-
-type report struct {
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Scales     []scaleResult `json:"scales"`
-}
-
-func buildEngine(dcs, partitions int) (*sim.Engine, error) {
-	var w *topology.World
-	var err error
-	if dcs == 10 {
-		w = topology.PaperWorld()
-	} else {
-		w, err = topology.RandomGeometricWorld(dcs, 3, 0x3013)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rt, err := network.NewRouter(w)
-	if err != nil {
-		return nil, err
-	}
-	spec := cluster.DefaultSpec()
-	spec.Partitions = partitions
-	cl, err := cluster.New(w, spec)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewUniform(workload.Config{
-		Partitions: partitions, DCs: w.NumDCs(), Lambda: 300, Seed: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Epochs = 1 << 30 // stepped manually
-	return sim.New(cl, rt, gen, core.NewRFH(), cfg)
-}
-
-// measure steps the engine warmup epochs to pass the initial
-// replication burst, then times epochs more, counting allocations via
-// runtime.MemStats deltas.
-func measure(name string, dcs, partitions, warmup, epochs int) (scaleResult, error) {
-	eng, err := buildEngine(dcs, partitions)
-	if err != nil {
-		return scaleResult{}, err
-	}
-	defer eng.Close()
-	for i := 0; i < warmup; i++ {
-		if err := eng.Step(); err != nil {
-			return scaleResult{}, err
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < epochs; i++ {
-		if err := eng.Step(); err != nil {
-			return scaleResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return scaleResult{
-		Name:           name,
-		DCs:            dcs,
-		Servers:        eng.Cluster().NumServers(),
-		Partitions:     partitions,
-		Epochs:         epochs,
-		EpochsPerSec:   float64(epochs) / elapsed.Seconds(),
-		NsPerEpoch:     elapsed.Nanoseconds() / int64(epochs),
-		AllocsPerEpoch: float64(after.Mallocs-before.Mallocs) / float64(epochs),
-		BytesPerEpoch:  float64(after.TotalAlloc-before.TotalAlloc) / float64(epochs),
-	}, nil
-}
 
 // benchFleet is the stress suite's 3-node TCP cluster.
 type benchFleet struct {
@@ -291,36 +192,18 @@ func runStress(epochs int) error {
 	return nil
 }
 
-func writeReport(out string, rep any) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rfhbench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if out == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "rfhbench:", err)
-		os.Exit(1)
-	}
-}
-
 func main() {
 	var (
 		out        = flag.String("o", "", "write JSON here instead of stdout")
-		suite      = flag.String("suite", "sim", "benchmark suite: sim, repair or stress")
-		warmup     = flag.Int("warmup", 30, "warmup epochs before timing starts")
-		epochs     = flag.Int("epochs", 300, "timed epochs per scale (stress suite: ×25 put/get rounds per worker)")
+		suite      = flag.String("suite", "repair", "benchmark suite: repair or stress")
+		epochs     = flag.Int("epochs", 300, "stress suite length: ×25 put/get rounds per worker")
 		date       = flag.String("date", "", "date stamp (YYYY-MM-DD) embedded in the snapshot; default today (UTC)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile here")
 		memprofile = flag.String("memprofile", "", "write a heap profile here at exit")
 	)
 	flag.Parse()
-	if *epochs < 1 || *warmup < 0 {
-		fmt.Fprintln(os.Stderr, "rfhbench: -epochs must be >= 1 and -warmup >= 0")
+	if *epochs < 1 {
+		fmt.Fprintln(os.Stderr, "rfhbench: -epochs must be >= 1")
 		os.Exit(2)
 	}
 	if *date == "" {
@@ -368,43 +251,31 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%-28s %9d baseline B  %8d delta B  %6.1fx fewer\n",
 				r.Name, r.BaselineBytes, r.DeltaBytes, r.Ratio)
 		}
-		writeReport(*out, repairReport{
+		data, err := json.MarshalIndent(repairReport{
 			Date:       *date,
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Results:    results,
-		})
+		}, "", "  ")
+		if err == nil {
+			data = append(data, '\n')
+			if *out == "" {
+				_, err = os.Stdout.Write(data)
+			} else {
+				err = os.WriteFile(*out, data, 0o644)
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rfhbench:", err)
+			os.Exit(1)
+		}
 	case "stress":
 		if err := runStress(*epochs); err != nil {
 			fmt.Fprintln(os.Stderr, "rfhbench:", err)
 			os.Exit(1)
 		}
-	case "sim":
-		rep := report{
-			Date:       *date,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		}
-		scales := []struct {
-			name            string
-			dcs, partitions int
-		}{
-			{"seed", 10, 64},
-			{"10x", 100, 640},
-		}
-		for _, s := range scales {
-			res, err := measure(s.name, s.dcs, s.partitions, *warmup, *epochs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rfhbench:", err)
-				os.Exit(1)
-			}
-			rep.Scales = append(rep.Scales, res)
-			fmt.Fprintf(os.Stderr, "%-5s %7.1f epochs/sec  %9d ns/epoch  %8.0f allocs/epoch\n",
-				s.name, res.EpochsPerSec, res.NsPerEpoch, res.AllocsPerEpoch)
-		}
-		writeReport(*out, rep)
 	default:
-		fmt.Fprintln(os.Stderr, "rfhbench: -suite must be sim, repair or stress")
+		fmt.Fprintln(os.Stderr, "rfhbench: -suite must be repair or stress")
 		os.Exit(2)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/transport"
 )
@@ -49,7 +50,7 @@ func run() error {
 		listen       = flag.String("listen", "", "listen address (default: this id's address from -peers)")
 		partitions   = flag.Int("partitions", 64, "number of partitions (same on every peer)")
 		capacity     = flag.Int("capacity", 100, "per-replica queries served per epoch, eq. (12) overload bound")
-		policyName   = flag.String("policy", "rfh", "placement policy: rfh, random, owner, request or ead")
+		policyName   = flag.String("policy", "rfh", "placement policy: "+strings.Join(core.PolicyNames(), ", "))
 		suspectAfter = flag.Int("suspect-after", 3, "consecutive missed stats broadcasts before a peer is declared failed")
 		seed         = flag.Uint64("seed", 1, "determinism seed (same on every peer)")
 		epoch        = flag.Duration("epoch", 0, "epoch tick period; 0 means manual ticking via rfhctl tick")

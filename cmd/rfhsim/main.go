@@ -17,14 +17,16 @@ import (
 	"os"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 
 	rfh "repro"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
 func main() {
 	var (
-		policy      = flag.String("policy", "rfh", "replication policy: rfh, random, owner or request")
+		policy      = flag.String("policy", "rfh", "replication policy: "+strings.Join(core.PolicyNames(), ", "))
 		workload    = flag.String("workload", "uniform", "query setting: uniform, flash, zipf, diurnal or drift")
 		epochs      = flag.Int("epochs", 250, "epochs to simulate")
 		lambda      = flag.Float64("lambda", 300, "Poisson mean queries per partition per epoch")

@@ -70,11 +70,7 @@ func (s *Suite) RunAblation(param string) (*Ablation, error) {
 
 // ablationPoint runs one RFH simulation with the parameter overridden.
 func (s *Suite) ablationPoint(param string, v float64) (AblationPoint, error) {
-	cfg := sim.DefaultConfig()
-	cfg.Epochs = s.opts.EpochsRandom
-	cfg.Seed = s.opts.Seed
-	cfg.Workers = s.opts.Workers
-	cfg.Serving = s.opts.Serving
+	cfg := s.simConfig(s.opts.EpochsRandom)
 	th := traffic.DefaultThresholds()
 	switch param {
 	case "alpha":
@@ -93,11 +89,7 @@ func (s *Suite) ablationPoint(param string, v float64) (AblationPoint, error) {
 		cfg.Serving = sim.ServingModel(int(v))
 	}
 	cfg.Thresholds = th
-	cl, rt, gen, pol, err := s.components("rfh", false, cfg.Epochs)
-	if err != nil {
-		return AblationPoint{}, err
-	}
-	eng, err := sim.New(cl, rt, gen, pol, cfg)
+	eng, err := NewEngine(s.spec("rfh", "uniform"), cfg)
 	if err != nil {
 		return AblationPoint{}, err
 	}

@@ -199,12 +199,6 @@ func TestFiguresReturnCopies(t *testing.T) {
 	}
 }
 
-func TestNewPolicyUnknown(t *testing.T) {
-	if _, err := newPolicy("nonexistent"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 // TestAllShapeClaimsFullScale repeats the headline verification at the
 // paper's exact dimensions (250/400/500-epoch runs). Slower than the
 // quick variant; skipped under -short.

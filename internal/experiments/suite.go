@@ -12,14 +12,9 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/network"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Options configures a reproduction campaign. Defaults mirror §III-A.
@@ -75,23 +70,6 @@ type PolicyRun struct {
 // order.
 var PolicyNames = []string{"request", "owner", "random", "rfh"}
 
-// newPolicy constructs a fresh policy instance by name (policies are
-// stateful, so every run needs its own).
-func newPolicy(name string) (policy.Policy, error) {
-	switch name {
-	case "rfh":
-		return core.NewRFH(), nil
-	case "random":
-		return policy.NewRandom(), nil
-	case "owner":
-		return policy.NewOwnerOriented(), nil
-	case "request":
-		return policy.NewRequestOriented(0.2), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q", name)
-	}
-}
-
 // Suite runs and caches the simulation campaigns behind the figures.
 // It is not safe for concurrent use.
 type Suite struct {
@@ -121,68 +99,33 @@ func NewSuite(opts Options) (*Suite, error) {
 // Options returns the suite's configuration.
 func (s *Suite) Options() Options { return s.opts }
 
-// components wires the shared pieces of one simulation: paper world,
-// Table I cluster, and the requested workload and policy.
-func (s *Suite) components(polName string, flash bool, epochs int) (*cluster.Cluster, *network.Router, workload.Generator, policy.Policy, error) {
-	w := topology.PaperWorld()
-	rt, err := network.NewRouter(w)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	spec := cluster.DefaultSpec()
-	spec.Seed = s.opts.Seed
-	cl, err := cluster.New(w, spec)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	wcfg := workload.Config{
-		Partitions: cl.NumPartitions(),
-		DCs:        w.NumDCs(),
-		Lambda:     s.opts.Lambda,
-		Seed:       s.opts.Seed ^ 0xA11CE,
-	}
-	var gen workload.Generator
-	if flash {
-		gen, err = workload.NewPaperFlashCrowd(wcfg, w, epochs)
-	} else {
-		gen, err = workload.NewUniform(wcfg)
-	}
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	pol, err := newPolicy(polName)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return cl, rt, gen, pol, nil
-}
-
-// buildEngine wires one simulation with the suite's default config.
-func (s *Suite) buildEngine(polName string, flash bool, epochs int) (*sim.Engine, error) {
-	cl, rt, gen, pol, err := s.components(polName, flash, epochs)
-	if err != nil {
-		return nil, err
-	}
+// simConfig is the engine configuration every suite run starts from.
+func (s *Suite) simConfig(epochs int) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Epochs = epochs
 	cfg.Seed = s.opts.Seed
 	cfg.Workers = s.opts.Workers
 	cfg.Serving = s.opts.Serving
-	return sim.New(cl, rt, gen, pol, cfg)
+	return cfg
+}
+
+// spec names one suite simulation on the paper world.
+func (s *Suite) spec(polName, workloadName string) Spec {
+	return Spec{Workload: workloadName, Lambda: s.opts.Lambda, Policy: polName}
 }
 
 // runCampaign simulates every policy over one workload setting.
-func (s *Suite) runCampaign(flash bool, epochs int) ([]PolicyRun, error) {
+func (s *Suite) runCampaign(workloadName string, cfg sim.Config) ([]PolicyRun, error) {
 	runs := make([]PolicyRun, 0, len(PolicyNames))
 	for _, name := range PolicyNames {
-		eng, err := s.buildEngine(name, flash, epochs)
+		eng, err := NewEngine(s.spec(name, workloadName), cfg)
 		if err != nil {
 			return nil, err
 		}
 		rec, err := eng.Run()
 		eng.Close()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%v: %w", name, flash, err)
+			return nil, fmt.Errorf("experiments: %s/%s: %w", name, workloadName, err)
 		}
 		runs = append(runs, PolicyRun{Policy: name, Recorder: rec})
 	}
@@ -193,7 +136,7 @@ func (s *Suite) runCampaign(flash bool, epochs int) ([]PolicyRun, error) {
 // campaign for all four policies.
 func (s *Suite) RandomRuns() ([]PolicyRun, error) {
 	if s.randomRuns == nil {
-		runs, err := s.runCampaign(false, s.opts.EpochsRandom)
+		runs, err := s.runCampaign("uniform", s.simConfig(s.opts.EpochsRandom))
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +148,7 @@ func (s *Suite) RandomRuns() ([]PolicyRun, error) {
 // FlashRuns returns (running on first use) the flash-crowd campaign.
 func (s *Suite) FlashRuns() ([]PolicyRun, error) {
 	if s.flashRuns == nil {
-		runs, err := s.runCampaign(true, s.opts.EpochsFlash)
+		runs, err := s.runCampaign("flash", s.simConfig(s.opts.EpochsFlash))
 		if err != nil {
 			return nil, err
 		}
@@ -220,29 +163,12 @@ func (s *Suite) FlashRuns() ([]PolicyRun, error) {
 // availability experiment behind extension figure E2.
 func (s *Suite) ChurnRuns() ([]PolicyRun, error) {
 	if s.churnRuns == nil {
-		runs := make([]PolicyRun, 0, len(PolicyNames))
-		for _, name := range PolicyNames {
-			cl, rt, gen, pol, err := s.components(name, false, s.opts.EpochsRandom)
-			if err != nil {
-				return nil, err
-			}
-			cfg := sim.DefaultConfig()
-			cfg.Epochs = s.opts.EpochsRandom
-			cfg.Seed = s.opts.Seed
-			cfg.Workers = s.opts.Workers
-			cfg.Serving = s.opts.Serving
-			cfg.ChurnFailProb = 0.01
-			cfg.ChurnMTTR = 15
-			eng, err := sim.New(cl, rt, gen, pol, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rec, err := eng.Run()
-			eng.Close()
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, PolicyRun{Policy: name, Recorder: rec})
+		cfg := s.simConfig(s.opts.EpochsRandom)
+		cfg.ChurnFailProb = 0.01
+		cfg.ChurnMTTR = 15
+		runs, err := s.runCampaign("uniform", cfg)
+		if err != nil {
+			return nil, err
 		}
 		s.churnRuns = runs
 	}
@@ -254,7 +180,7 @@ func (s *Suite) ChurnRuns() ([]PolicyRun, error) {
 // FailEpoch.
 func (s *Suite) FailureRun() (*PolicyRun, error) {
 	if s.failureRun == nil {
-		eng, err := s.buildEngine("rfh", false, s.opts.EpochsFailure)
+		eng, err := NewEngine(s.spec("rfh", "uniform"), s.simConfig(s.opts.EpochsFailure))
 		if err != nil {
 			return nil, err
 		}

@@ -130,10 +130,12 @@ func (n *Node) aeDigestsLocked() []aePartitionDigest {
 }
 
 // aePull is one holder-side reconciliation planned from a piggybacked
-// digest: the partition, the primary that published it, and the
-// published top digest to compare against.
+// digest: the partition (and this node's copy of it, taken under n.mu
+// at planning), the primary that published it, and the published top
+// digest to compare against.
 type aePull struct {
 	p       int
+	part    *durable.Partition
 	primary int
 	epoch   uint64
 	root    uint64
@@ -158,10 +160,11 @@ func (n *Node) aePullPlansLocked() []aePull {
 		}
 		for _, d := range blob.digests {
 			p := d.partition
-			if n.view.primary(p) != i || !n.view.hasReplica(p, n.self) || !n.store.Part(p).Stats().Resident {
+			part := n.store.Part(p)
+			if n.view.primary(p) != i || !n.view.hasReplica(p, n.self) || !part.Stats().Resident {
 				continue
 			}
-			pulls = append(pulls, aePull{p: p, primary: i, epoch: n.epoch, root: d.root, leaves: d.leaves})
+			pulls = append(pulls, aePull{p: p, part: part, primary: i, epoch: n.epoch, root: d.root, leaves: d.leaves})
 		}
 	}
 	return pulls
@@ -175,7 +178,7 @@ func (n *Node) aePullPlansLocked() []aePull {
 //lint:requires-unlocked n.mu
 func (n *Node) runAEPulls(pulls []aePull) {
 	for _, pl := range pulls {
-		_, resident, mine, root := n.store.Part(pl.p).Digest()
+		_, resident, mine, root := pl.part.Digest()
 		if !resident {
 			continue // residency was lost between planning and here
 		}
@@ -198,7 +201,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 				tops = append(tops, b)
 			}
 		}
-		subs := n.store.Part(pl.p).SubLeaves(tops)
+		subs := pl.part.SubLeaves(tops)
 		req := appendAESub(nil, tops, subs)
 		n.aePayloadN.Add(int64(len(req)))
 		resp, err := n.tr.Send(n.peerAddr(pl.primary), &transport.Message{
@@ -217,7 +220,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 		}
 		// Index the local copy of the listed sub-buckets. entries is in
 		// ascending key order, so per-bucket key order is deterministic.
-		entries, _ := n.store.Part(pl.p).Entries()
+		entries, _ := pl.part.Entries()
 		listed := make(map[int]bool, len(subIdx))
 		for _, s := range subIdx {
 			listed[s] = true
@@ -262,7 +265,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 			})
 			if err == nil && resp.Status == transport.StatusOK {
 				if got, derr := decodeSnapshot(resp.Value); derr == nil {
-					if merged, applied, merr := n.store.Part(pl.p).MergeResident(got); merr == nil && applied && merged > 0 {
+					if merged, applied, merr := pl.part.MergeResident(got); merr == nil && applied && merged > 0 {
 						n.aeHealedN.Add(int64(merged))
 					}
 				}
@@ -302,11 +305,12 @@ func (n *Node) handleAEDigest(req *transport.Message) (*transport.Message, error
 	}
 	n.mu.RLock()
 	holder := n.view.hasReplica(p, n.self) && !n.recovering
+	part := n.store.Part(p)
 	n.mu.RUnlock()
-	if !holder || !n.store.Part(p).Stats().Resident {
+	if !holder || !part.Stats().Resident {
 		return &transport.Message{Kind: KindAEDigest, Partition: req.Partition, Status: transport.StatusRetry}, nil
 	}
-	mineSubs := n.store.Part(p).SubLeaves(tops)
+	mineSubs := part.SubLeaves(tops)
 	divergent := make(map[int]bool)
 	for i, b := range tops {
 		for j := 0; j < aeFanout; j++ {
@@ -322,7 +326,7 @@ func (n *Node) handleAEDigest(req *transport.Message) (*transport.Message, error
 	sort.Ints(subIdx)
 	bySub := make(map[int][]aeKeyVer)
 	if len(divergent) > 0 {
-		entries, _ := n.store.Part(p).Entries()
+		entries, _ := part.Entries()
 		for _, e := range entries {
 			if s := aeSub(e.Key); divergent[s] {
 				bySub[s] = append(bySub[s], aeKeyVer{key: e.Key, ver: e.Ver})
@@ -353,11 +357,12 @@ func (n *Node) handleAEFetch(req *transport.Message) (*transport.Message, error)
 	}
 	n.mu.RLock()
 	holder := n.view.hasReplica(p, n.self) && !n.recovering
+	part := n.store.Part(p)
 	n.mu.RUnlock()
-	if !holder || !n.store.Part(p).Stats().Resident {
+	if !holder || !part.Stats().Resident {
 		return &transport.Message{Kind: KindAEFetch, Partition: req.Partition, Status: transport.StatusRetry}, nil
 	}
-	found := n.store.Part(p).Lookup(keys)
+	found := part.Lookup(keys)
 	reply := appendEntries(nil, found)
 	if len(found) > 0 {
 		n.aeRepairsN.Add(1)

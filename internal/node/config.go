@@ -56,8 +56,8 @@ type Config struct {
 	MinAvailability float64
 	// HubCandidates is the traffic-hub candidate set size (default 3).
 	HubCandidates int
-	// PolicyName selects the replication algorithm: "rfh" (default),
-	// "random", "owner" or "request".
+	// PolicyName selects the replication algorithm by its
+	// core.PolicyNames name; "rfh" is the default.
 	PolicyName string
 
 	// WriteQuorum is W: how many holders (primary included) must

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/policy"
 	"repro/internal/ring"
 	"repro/internal/stats"
@@ -148,7 +149,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := newPolicy(cfg.PolicyName)
+	pol, err := core.NewPolicy(cfg.PolicyName)
 	if err != nil {
 		return nil, err
 	}
@@ -178,25 +179,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	tr.SetHandler(n.Handle)
 	return n, nil
-}
-
-// newPolicy maps a config name to a fresh policy instance (policies
-// may be stateful, so each node needs its own).
-func newPolicy(name string) (policy.Policy, error) {
-	switch name {
-	case "", "rfh":
-		return core.NewRFH(), nil
-	case "random":
-		return policy.NewRandom(), nil
-	case "owner":
-		return policy.NewOwnerOriented(), nil
-	case "request":
-		return policy.NewRequestOriented(0.2), nil
-	case "ead":
-		return policy.NewEAD(0), nil
-	default:
-		return nil, fmt.Errorf("node: unknown policy %q (want rfh, random, owner, request or ead)", name)
-	}
 }
 
 // Self returns the node's roster index (== datacenter == server id).
@@ -486,8 +468,9 @@ func (n *Node) routeGet(p int, key string, origin, hops int) ([]byte, uint64, bo
 			return v, ver, ok, nil
 		}
 		targets := n.readTargetsLocked(p, primary)
+		part := n.store.Part(p)
 		n.mu.RUnlock()
-		return n.quorumRead(p, key, v, ver, ok, targets, r)
+		return n.quorumRead(p, part, key, v, ver, ok, targets, r)
 	}
 	if primary < 0 {
 		n.mu.RUnlock()
@@ -549,10 +532,12 @@ type readVote struct {
 // foreground half of anti-entropy: any divergence a quorum read can
 // observe it also heals. Unreachable or non-resident holders simply
 // don't vote; the read fails only when fewer than r votes assemble.
-// Callers must not hold n.mu.
+// part is the coordinator's own copy of p, taken under n.mu: a crash
+// swaps the store, so the pointer must not be re-read here. Callers
+// must not hold n.mu.
 //
 //lint:requires-unlocked n.mu
-func (n *Node) quorumRead(p int, key string, v []byte, ver uint64, ok bool, targets []int, r int) ([]byte, uint64, bool, error) {
+func (n *Node) quorumRead(p int, part *durable.Partition, key string, v []byte, ver uint64, ok bool, targets []int, r int) ([]byte, uint64, bool, error) {
 	votes := []readVote{{peer: n.self, val: v, ver: ver, found: ok}}
 	for _, t := range targets {
 		if len(votes) >= r {
@@ -596,7 +581,7 @@ func (n *Node) quorumRead(p int, key string, v []byte, ver uint64, ok bool, targ
 			continue
 		}
 		if vt.peer == n.self {
-			n.store.Part(p).ApplySync(key, w.val, w.ver)
+			part.ApplySync(key, w.val, w.ver)
 			continue
 		}
 		ops = append(ops, outOp{peer: vt.peer, msg: &transport.Message{
@@ -1317,7 +1302,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 	// larger one opens a chunked transfer session that RunEpoch pumps
 	// after the lock drops (ok=false: nothing to append to ops).
 	shipOp := func(p, target int) (outOp, bool) {
-		if snap, ok := n.oneFrameSnapshot(p); ok {
+		if snap, ok := n.oneFrameSnapshot(n.store.Part(p)); ok {
 			n.xmu.Lock()
 			n.xstats.OneFrame++
 			n.xstats.BytesSent += int64(len(snap))

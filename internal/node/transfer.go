@@ -198,10 +198,9 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 	return sliceChunks(kept, n.cfg.TransferChunkEntries), ver, true, saved
 }
 
-// oneFrameSnapshot encodes partition p for a single KindStore frame,
+// oneFrameSnapshot encodes a partition for a single KindStore frame,
 // when its payload is at or under the one-frame threshold.
-func (n *Node) oneFrameSnapshot(p int) ([]byte, bool) {
-	part := n.store.Part(p)
+func (n *Node) oneFrameSnapshot(part *durable.Partition) ([]byte, bool) {
 	if part.Stats().Bytes > n.cfg.SnapshotOneFrameBytes {
 		return nil, false
 	}
@@ -297,7 +296,10 @@ func (n *Node) pumpTransfers() {
 //
 //lint:requires-unlocked n.mu
 func (n *Node) shipPartition(p, target int, ver uint64) bool {
-	if snap, ok := n.oneFrameSnapshot(p); ok {
+	n.mu.RLock()
+	part := n.store.Part(p)
+	n.mu.RUnlock()
+	if snap, ok := n.oneFrameSnapshot(part); ok {
 		resp, err := n.tr.Send(n.peerAddr(target), &transport.Message{
 			Kind: KindStore, Partition: uint32(p), Value: snap,
 		})
@@ -622,13 +624,14 @@ func (n *Node) handleXferCursor(req *transport.Message) (*transport.Message, err
 		return nil, err
 	}
 	n.mu.RLock()
-	next, known := n.store.Part(p).InboundCursor(req.Session)
+	part := n.store.Part(p)
+	next, known := part.InboundCursor(req.Session)
 	n.mu.RUnlock()
 	if !known {
 		// Unknown session: the reply doubles as the delta-planning
 		// handshake — it carries the partition's version watermark plus
 		// the residency/digest blob the source plans from.
-		maxVer, resident, leaves, root := n.store.Part(p).Digest()
+		maxVer, resident, leaves, root := part.Digest()
 		return &transport.Message{Kind: KindXferCursor, Partition: req.Partition, Session: req.Session,
 			Status: transport.StatusNotFound, Version: maxVer,
 			Value: appendXferInfo(nil, resident, leaves, root)}, nil

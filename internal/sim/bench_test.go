@@ -1,62 +1,30 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/network"
-	"repro/internal/topology"
-	"repro/internal/workload"
+	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
-// benchEngine builds an engine for throughput benchmarks: dcs
+// stepBench measures steady-state Engine.Step throughput on dcs
 // datacenters (10 = the paper world, anything else a synthetic
 // random-geometric world) with 10 servers each, over the given
 // partition count, driven by the uniform workload and the RFH policy.
-func benchEngine(b *testing.B, dcs, partitions int) *Engine {
-	b.Helper()
-	var w *topology.World
-	var err error
-	if dcs == 10 {
-		w = topology.PaperWorld()
-	} else {
-		w, err = topology.RandomGeometricWorld(dcs, 3, 0x3013)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	rt, err := network.NewRouter(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := cluster.DefaultSpec()
-	spec.Partitions = partitions
-	cl, err := cluster.New(w, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := workload.NewUniform(workload.Config{
-		Partitions: partitions, DCs: w.NumDCs(), Lambda: 300, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Epochs = 1 << 30 // stepped manually; never hit by Run
-	eng, err := New(cl, rt, gen, core.NewRFH(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng
-}
-
-// stepBench measures steady-state Engine.Step throughput: a warmup
-// drives the system past the initial replication burst, then each
-// iteration is one full epoch (serve + policy + apply + record).
+// A warmup drives the system past the initial replication burst, then
+// each iteration is one full epoch (serve + policy + apply + record).
 func stepBench(b *testing.B, dcs, partitions int) {
 	b.Helper()
-	eng := benchEngine(b, dcs, partitions)
+	sp := experiments.Spec{Partitions: partitions, Lambda: 300, Policy: "rfh"}
+	if dcs != 10 {
+		sp.WorldDCs = dcs
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Epochs = 1 << 30 // stepped manually; never hit by Run
+	eng, err := experiments.NewEngine(sp, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer eng.Close()
 	for i := 0; i < 30; i++ {
 		if err := eng.Step(); err != nil {

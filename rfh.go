@@ -32,9 +32,8 @@ import (
 	"strconv"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -105,8 +104,9 @@ type (
 // from DefaultConfig.
 type Config struct {
 	// Policy selects the replication algorithm: "rfh", "random",
-	// "owner", "request" or "ead" (the Shen [17] extension baseline).
-	// Ignored when CustomPolicy is set.
+	// "owner", "request" or "ead" (the Shen [17] extension baseline),
+	// each with its Table I parameters. Ignored when CustomPolicy is
+	// set.
 	Policy string
 	// CustomPolicy, when non-nil, overrides Policy with a user-supplied
 	// implementation.
@@ -150,8 +150,6 @@ type Config struct {
 	MinAvailability float64
 	// HubCandidates is the traffic-hub candidate set size (paper: 3).
 	HubCandidates int
-	// RandomN is the random baseline's static copy target (default 8).
-	RandomN int
 
 	// Serving selects the query-serving model: "path" (the paper's
 	// eq. 2–6 overflow chain, default) or "nearest" (idealised direct
@@ -195,7 +193,6 @@ func DefaultConfig() Config {
 		FailureRate:     0.1,
 		MinAvailability: 0.8,
 		HubCandidates:   3,
-		RandomN:         policy.DefaultRandomN,
 		Serving:         "path",
 		Seed:            1,
 	}
@@ -309,102 +306,25 @@ func RunWithFailures(cfg Config, events []FailureEvent) (*Result, error) {
 	return res, nil
 }
 
-// buildEngine assembles the paper world, Table I cluster, workload and
-// policy from a flat Config.
+// spec maps the world, workload and policy fields of cfg onto the
+// shared simulation assembly.
+func (cfg Config) spec() experiments.Spec {
+	return experiments.Spec{
+		WorldDCs:       cfg.WorldDCs,
+		Partitions:     cfg.Partitions,
+		Workload:       cfg.Workload,
+		Lambda:         cfg.Lambda,
+		ZipfExponent:   cfg.ZipfExponent,
+		DiurnalPeriod:  cfg.DiurnalPeriod,
+		DriftHold:      cfg.DriftHold,
+		Policy:         cfg.Policy,
+		CustomPolicy:   cfg.CustomPolicy,
+		CustomWorkload: cfg.CustomWorkload,
+	}
+}
+
+// buildEngine assembles the simulation a flat Config describes.
 func buildEngine(cfg Config) (*sim.Engine, error) {
-	var w *topology.World
-	if cfg.WorldDCs > 0 {
-		var err error
-		w, err = topology.RandomGeometricWorld(cfg.WorldDCs, 3, cfg.Seed^0x3013)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		w = topology.PaperWorld()
-	}
-	rt, err := network.NewRouter(w)
-	if err != nil {
-		return nil, err
-	}
-	spec := cluster.DefaultSpec()
-	spec.Seed = cfg.Seed
-	if cfg.Partitions > 0 {
-		spec.Partitions = cfg.Partitions
-	}
-	cl, err := cluster.New(w, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	wcfg := workload.Config{
-		Partitions: cl.NumPartitions(),
-		DCs:        w.NumDCs(),
-		Lambda:     cfg.Lambda,
-		Seed:       cfg.Seed ^ 0xA11CE,
-	}
-	var gen workload.Generator
-	if cfg.CustomWorkload != nil {
-		gen = cfg.CustomWorkload
-	} else {
-		gen, err = builtinWorkload(cfg, w, wcfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pol := cfg.CustomPolicy
-	if pol == nil {
-		switch cfg.Policy {
-		case "rfh", "":
-			pol = core.NewRFH()
-		case "random":
-			pol = policy.NewRandomN(cfg.RandomN)
-		case "owner":
-			pol = policy.NewOwnerOriented()
-		case "request":
-			pol = policy.NewRequestOriented(cfg.Alpha)
-		case "ead":
-			pol = policy.NewEAD(0)
-		default:
-			return nil, fmt.Errorf("rfh: unknown policy %q (want rfh, random, owner, request or ead)", cfg.Policy)
-		}
-	}
-	return assembleEngine(cfg, cl, rt, gen, pol)
-}
-
-// builtinWorkload resolves the named workload generators.
-func builtinWorkload(cfg Config, w *topology.World, wcfg workload.Config) (workload.Generator, error) {
-	var gen workload.Generator
-	var err error
-	switch cfg.Workload {
-	case "uniform", "":
-		gen, err = workload.NewUniform(wcfg)
-	case "flash":
-		if cfg.WorldDCs > 0 {
-			return nil, fmt.Errorf("rfh: the flash workload is defined on the paper world; use drift or diurnal with WorldDCs")
-		}
-		gen, err = workload.NewPaperFlashCrowd(wcfg, w, cfg.Epochs)
-	case "zipf":
-		gen, err = workload.NewZipfPartitions(wcfg, cfg.ZipfExponent)
-	case "diurnal":
-		period := cfg.DiurnalPeriod
-		if period == 0 {
-			period = cfg.Epochs / 2
-		}
-		gen, err = workload.NewDiurnal(wcfg, w, period, 0.8)
-	case "drift":
-		hold := cfg.DriftHold
-		if hold == 0 {
-			hold = 20
-		}
-		gen, err = workload.NewDrift(wcfg, hold, 0.8)
-	default:
-		return nil, fmt.Errorf("rfh: unknown workload %q (want uniform, flash, zipf, diurnal or drift)", cfg.Workload)
-	}
-	return gen, err
-}
-
-// assembleEngine converts the flat Config into the sim configuration.
-func assembleEngine(cfg Config, cl *cluster.Cluster, rt *network.Router, gen workload.Generator, pol policy.Policy) (*sim.Engine, error) {
 	scfg := sim.DefaultConfig()
 	scfg.Epochs = cfg.Epochs
 	scfg.Thresholds = traffic.Thresholds{
@@ -417,18 +337,15 @@ func assembleEngine(cfg Config, cl *cluster.Cluster, rt *network.Router, gen wor
 	scfg.Seed = cfg.Seed
 	scfg.ChurnFailProb = cfg.ChurnFailProb
 	scfg.ChurnMTTR = cfg.ChurnMTTR
-	if cfg.HopLatencyMs != 0 || cfg.ServiceLatencyMs != 0 || cfg.SLAThresholdMs != 0 {
-		lm := metrics.DefaultLatencyModel()
-		if cfg.HopLatencyMs != 0 {
-			lm.HopLatencyMs = cfg.HopLatencyMs
-		}
-		if cfg.ServiceLatencyMs != 0 {
-			lm.ServiceMs = cfg.ServiceLatencyMs
-		}
-		if cfg.SLAThresholdMs != 0 {
-			lm.SLAThresholdMs = cfg.SLAThresholdMs
-		}
-		scfg.Latency = lm
+	scfg.Latency = metrics.DefaultLatencyModel()
+	if cfg.HopLatencyMs != 0 {
+		scfg.Latency.HopLatencyMs = cfg.HopLatencyMs
+	}
+	if cfg.ServiceLatencyMs != 0 {
+		scfg.Latency.ServiceMs = cfg.ServiceLatencyMs
+	}
+	if cfg.SLAThresholdMs != 0 {
+		scfg.Latency.SLAThresholdMs = cfg.SLAThresholdMs
 	}
 	switch cfg.Serving {
 	case "path", "":
@@ -438,7 +355,7 @@ func assembleEngine(cfg Config, cl *cluster.Cluster, rt *network.Router, gen wor
 	default:
 		return nil, fmt.Errorf("rfh: unknown serving model %q (want path or nearest)", cfg.Serving)
 	}
-	return sim.New(cl, rt, gen, pol, scfg)
+	return experiments.NewEngine(cfg.spec(), scfg)
 }
 
 // LoadTraceWorkload parses a CSV demand trace (rows of
@@ -457,30 +374,9 @@ func EmitTrace(w io.Writer, cfg Config, epochs int) error {
 	if epochs <= 0 {
 		return fmt.Errorf("rfh: trace needs at least one epoch")
 	}
-	world := topology.PaperWorld()
-	var err error
-	if cfg.WorldDCs > 0 {
-		world, err = topology.RandomGeometricWorld(cfg.WorldDCs, 3, cfg.Seed^0x3013)
-		if err != nil {
-			return err
-		}
-	}
-	partitions := cfg.Partitions
-	if partitions == 0 {
-		partitions = cluster.DefaultSpec().Partitions
-	}
-	wcfg := workload.Config{
-		Partitions: partitions,
-		DCs:        world.NumDCs(),
-		Lambda:     cfg.Lambda,
-		Seed:       cfg.Seed ^ 0xA11CE,
-	}
-	gen := cfg.CustomWorkload
-	if gen == nil {
-		gen, err = builtinWorkload(cfg, world, wcfg)
-		if err != nil {
-			return err
-		}
+	world, gen, err := cfg.spec().Demand(cfg.Epochs, cfg.Seed)
+	if err != nil {
+		return err
 	}
 	cw := csv.NewWriter(w)
 	row := make([]string, 2+world.NumDCs())

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func quickConfig() Config {
@@ -148,6 +150,38 @@ type noopPolicy struct{}
 
 func (noopPolicy) Name() string                   { return "noop" }
 func (noopPolicy) Decide(*PolicyContext) Decision { return Decision{} }
+
+// TestRunMatchesSuite pins the facade and the experiment suite to one
+// simulation assembly: rfh.Run at the defaults reproduces every series
+// of the suite's random-query campaign, policy by policy.
+func TestRunMatchesSuite(t *testing.T) {
+	opts := experiments.DefaultOptions()
+	opts.EpochsRandom = 60
+	s, err := experiments.NewSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := s.RandomRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		cfg := DefaultConfig()
+		cfg.Policy = run.Policy
+		cfg.Epochs = opts.EpochsRandom
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", run.Policy, err)
+		}
+		for _, name := range run.Recorder.Names() {
+			want := run.Recorder.Series(name).Points
+			got := res.Series(name)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: series %s diverges from the suite's run", run.Policy, name)
+			}
+		}
+	}
+}
 
 func TestNumServers(t *testing.T) {
 	if NumServers() != 100 {
