@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,11 +103,13 @@ type Node struct {
 	crashed    bool
 	recovering bool
 
-	// syncFails counts replica syncs this primary could not land (send
-	// failed, or the holder refused and the snapshot fallback failed
-	// too). Atomic because the fan-out runs outside n.mu. Every failure
-	// is a holder missing an acked write until repair catches it —
-	// surfaced in DumpInfo so operators see silent replication decay.
+	// syncFails counts replica copies this node could not land: as a
+	// primary, syncs that failed (send failed, or the holder refused and
+	// the snapshot fallback failed too); as a forwarding holder, its own
+	// delegated apply refused after a drop or crash. Atomic because the
+	// fan-out runs outside n.mu. Every failure is a holder missing a
+	// write until repair catches it — surfaced in DumpInfo so operators
+	// see silent replication decay.
 	syncFails atomic.Int64
 
 	// Outbound chunked transfer sessions (see transfer.go). xmu is a
@@ -208,9 +211,11 @@ func (n *Node) DecisionCounts() DecisionCounts {
 	return n.counts
 }
 
-// SyncFails returns the cumulative count of replica syncs this node,
-// as a primary, failed to land on a holder (send failed, or the holder
-// refused and the snapshot fallback failed too).
+// SyncFails returns the cumulative count of replica copies this node
+// failed to land: syncs it sent as a primary (send failed, or the
+// holder refused and the snapshot fallback failed too), and its own
+// copy of a write it forwarded as a holder when the primary left that
+// copy to it but a drop or crash refused the apply.
 func (n *Node) SyncFails() int64 { return n.syncFails.Load() }
 
 // PartitionOf maps a key to its partition: the key's ring hash modulo
@@ -629,7 +634,9 @@ type PutReceipt struct {
 // Put stores a key/value pair. Non-primary nodes proxy the write to
 // the partition's primary, which stamps a version, applies it locally,
 // syncs the other replica holders, and acks only once WriteQuorum
-// holders (itself included) durably accepted the write.
+// holders (itself included) durably accepted the write. A proxying node
+// that is itself a resident holder takes its copy from the primary's
+// reply instead of from a sync, and acks only once it applied it.
 func (n *Node) Put(key string, value []byte) error {
 	_, err := n.PutQuorum(key, value)
 	return err
@@ -639,10 +646,23 @@ func (n *Node) Put(key string, value []byte) error {
 // version and the exact holder set that accepted the write before the
 // ack.
 func (n *Node) PutQuorum(key string, value []byte) (PutReceipt, error) {
-	return n.routePut(n.PartitionOf(key), key, value, 0)
+	rcpt, _, err := n.routePut(n.PartitionOf(key), []byte(key), value, 0, -1)
+	return rcpt, err
 }
 
-func (n *Node) routePut(p int, key string, value []byte, hops int) (PutReceipt, error) {
+// maxInlineHolders is the holder count up to which a put's sync targets
+// live in a stack array; larger holder sets spill to the heap.
+const maxInlineHolders = 8
+
+// routePut handles one put arrival at this node: the primary stamps,
+// applies and syncs it, any other node forwards it to the primary.
+// offerer is the roster index of the forwarding holder that offered to
+// apply the write itself, or -1. The primary accepts the offer only if
+// its own view lists the offerer as a holder, and reports that in
+// delegated: it then neither syncs the offerer nor counts it in the
+// receipt, and refuses early only if the offerer's ack could not make
+// up the quorum — the W decision is the forwarder's (forwardPut).
+func (n *Node) routePut(p int, key, value []byte, hops, offerer int) (rcpt PutReceipt, delegated bool, err error) {
 	n.mu.RLock()
 	if n.closed || n.crashed {
 		err := ErrClosed
@@ -650,58 +670,87 @@ func (n *Node) routePut(p int, key string, value []byte, hops int) (PutReceipt, 
 			err = ErrCrashed
 		}
 		n.mu.RUnlock()
-		return PutReceipt{}, err
+		return PutReceipt{}, false, err
 	}
 	primary := n.view.primary(p)
-	if primary == n.self {
-		w := n.cfg.WriteQuorum
-		// Stamp and apply locally first: the primary's copy is ack #1,
-		// and the fan-out below carries the stamped version. Applying
-		// before the quorum verdict means a refused write may still
-		// become visible — standard quorum-store semantics (a failed
-		// write is "not guaranteed durable", not "guaranteed absent"),
-		// and the version keeps every copy ordered regardless. On a
-		// durable node ack #1 means the WAL append landed: a log
-		// refusal fails the write outright instead of acking a record
-		// the disk never saw.
-		ver, err := n.store.Part(p).StampPut(key, value, n.epoch<<versionEpochShift)
-		if err != nil {
-			n.mu.RUnlock()
-			return PutReceipt{}, fmt.Errorf("node %d: durable apply failed for partition %d: %w", n.cfg.ID, p, err)
-		}
-		holders := n.view.cluster.ReplicaServers(p)
-		targets := make([]int, 0, len(holders))
-		for _, s := range holders {
-			if int(s) != n.self {
-				targets = append(targets, int(s))
-			}
-		}
+	if primary != n.self {
+		// The rule handleSync applies to a sync: only a resident copy
+		// this node's own view lists as a holder may take the write.
+		offer := n.view.hasReplica(p, n.self) && n.store.Part(p).Stats().Resident
 		n.mu.RUnlock()
-		acked, fails := n.syncWrite(p, key, value, ver, targets)
-		if fails > 0 {
-			n.syncFails.Add(int64(fails))
+		if primary < 0 {
+			return PutReceipt{}, false, fmt.Errorf("node %d: partition %d has no primary", n.cfg.ID, p)
 		}
-		acked = append(acked, n.self)
-		sort.Ints(acked)
-		rcpt := PutReceipt{Version: ver, Acked: acked}
-		if len(acked) < w {
-			return rcpt, fmt.Errorf("node %d: write quorum not met for partition %d: %d/%d holders acked",
-				n.cfg.ID, p, len(acked), w)
+		if hops > 0 {
+			// A proxied put landing on a non-primary means the sender's
+			// view disagrees with ours; refuse rather than bounce it around.
+			return PutReceipt{}, false, fmt.Errorf("node %d: not primary for partition %d", n.cfg.ID, p)
 		}
-		return rcpt, nil
+		rcpt, err := n.forwardPut(p, primary, key, value, offer)
+		return rcpt, false, err
+	}
+	// Stamp and apply locally first: the primary's copy is ack #1, and
+	// the fan-out below carries the stamped version. Applying before the
+	// quorum verdict means a refused write may still become visible —
+	// standard quorum-store semantics (a failed write is "not guaranteed
+	// durable", not "guaranteed absent"), and the version keeps every
+	// copy ordered regardless. On a durable node ack #1 means the WAL
+	// append landed: a log refusal fails the write outright instead of
+	// acking a record the disk never saw.
+	ver, err := n.store.Part(p).StampPut(string(key), value, n.epoch<<versionEpochShift)
+	if err != nil {
+		n.mu.RUnlock()
+		return PutReceipt{}, false, fmt.Errorf("node %d: durable apply failed for partition %d: %w", n.cfg.ID, p, err)
+	}
+	delegated = offerer >= 0 && offerer != n.self && n.view.hasReplica(p, offerer)
+	var buf [maxInlineHolders]cluster.ServerID
+	holders := n.view.cluster.AppendReplicaServers(buf[:0], p)
+	targets := holders[:0]
+	for _, s := range holders {
+		if int(s) != n.self && !(delegated && int(s) == offerer) {
+			targets = append(targets, s)
+		}
 	}
 	n.mu.RUnlock()
-	if primary < 0 {
-		return PutReceipt{}, fmt.Errorf("node %d: partition %d has no primary", n.cfg.ID, p)
+	synced := n.syncWrite(p, key, value, ver, targets)
+	if fails := len(targets) - len(synced); fails > 0 {
+		n.syncFails.Add(int64(fails))
 	}
-	if hops > 0 {
-		// A proxied put landing on a non-primary means the sender's view
-		// disagrees with ours; refuse rather than bounce it around.
-		return PutReceipt{}, fmt.Errorf("node %d: not primary for partition %d", n.cfg.ID, p)
+	acked := make([]int, 0, len(synced)+1)
+	acked = append(acked, n.self)
+	for _, s := range synced {
+		acked = append(acked, int(s))
 	}
-	resp, err := n.tr.Send(n.peerAddr(primary), &transport.Message{
-		Kind: KindPut, Partition: uint32(p), Hops: 1, Key: []byte(key), Value: value,
-	})
+	sort.Ints(acked)
+	rcpt = PutReceipt{Version: ver, Acked: acked}
+	w := n.cfg.WriteQuorum
+	if delegated {
+		w-- // the forwarder's ack is still to come
+	}
+	if len(acked) < w {
+		return rcpt, delegated, fmt.Errorf("node %d: write quorum not met for partition %d: %d/%d holders acked",
+			n.cfg.ID, p, len(acked), n.cfg.WriteQuorum)
+	}
+	return rcpt, delegated, nil
+}
+
+// forwardPut proxies a put to the partition's primary. With offer set
+// this node holds a resident copy and asks the primary to leave that
+// copy to it; if the primary accepts, the node applies the stamped
+// write itself before it answers, so every holder the receipt names has
+// the write when the ack leaves — as when the primary syncs it. A
+// drop or crash since the offer refuses the apply: the holder is then
+// missing from the receipt and counted in syncFails. The W decision for
+// the forwarded put is made here, on the complete ack set. Callers must
+// not hold n.mu.
+//
+//lint:requires-unlocked n.mu
+func (n *Node) forwardPut(p, primary int, key, value []byte, offer bool) (PutReceipt, error) {
+	req := &transport.Message{Kind: KindPut, Partition: uint32(p), Hops: 1, Key: key, Value: value}
+	if offer {
+		req.Origin, req.Cursor = uint32(n.self), putDelegate
+	}
+	resp, err := n.tr.Send(n.peerAddr(primary), req)
 	if err != nil {
 		return PutReceipt{}, err
 	}
@@ -712,45 +761,81 @@ func (n *Node) routePut(p int, key string, value []byte, hops int) (PutReceipt, 
 	if err != nil {
 		return PutReceipt{}, err
 	}
-	return PutReceipt{Version: resp.Version, Acked: acked}, nil
-}
-
-// syncWrite pushes one stamped write to the partition's other holders
-// and reports which of them durably acked it. A holder that answers
-// StatusRetry has no resident copy to apply onto (mid-rejoin, or
-// claim-added before its own view even lists it as a holder); it is
-// healed with a ship whose frozen state provably contains this stamped
-// write, and the ship's landing IS the durable ack — re-sending the
-// sync would prove nothing, since handleSync keeps refusing until the
-// holder's view catches up an epoch later. Sends run sequentially in
-// holder order when cfg.Fanout <= 1 (the deterministic-harness mode,
-// see fanOut) and over at most Fanout concurrent senders otherwise.
-// Callers must not hold n.mu.
-//
-//lint:requires-unlocked n.mu
-func (n *Node) syncWrite(p int, key string, value []byte, ver uint64, targets []int) (acked []int, fails int) {
-	kb := []byte(key) // one copy for every target: Send only reads it
-	ok := make([]bool, len(targets))
-	n.fanOut(len(targets), func(i int) {
-		resp, err := n.tr.Send(n.peerAddr(targets[i]), &transport.Message{
-			Kind: KindSync, Partition: uint32(p), Version: ver, Key: kb, Value: value,
-		})
-		switch {
-		case err != nil:
-		case resp.Status == transport.StatusRetry:
-			ok[i] = n.shipPartition(p, targets[i], ver)
-		default:
-			ok[i] = resp.Status == transport.StatusOK
-		}
-	})
-	for i, t := range targets {
-		if ok[i] {
-			acked = append(acked, t)
+	rcpt := PutReceipt{Version: resp.Version, Acked: acked}
+	if offer && resp.Cursor == putDelegate {
+		n.mu.RLock()
+		applied := !n.closed && !n.crashed && n.view.hasReplica(p, n.self) &&
+			n.store.Part(p).ApplySync(string(key), value, rcpt.Version)
+		n.mu.RUnlock()
+		if applied {
+			i, _ := slices.BinarySearch(acked, n.self)
+			rcpt.Acked = slices.Insert(acked, i, n.self)
 		} else {
-			fails++
+			n.syncFails.Add(1)
 		}
 	}
-	return acked, fails
+	if w := n.cfg.WriteQuorum; len(rcpt.Acked) < w {
+		return rcpt, fmt.Errorf("node %d: write quorum not met for partition %d: %d/%d holders acked",
+			n.cfg.ID, p, len(rcpt.Acked), w)
+	}
+	return rcpt, nil
+}
+
+// syncWrite pushes one stamped write to the given holders and returns
+// the ones that durably acked it, compacted in place into targets'
+// backing array. Sends run sequentially in holder order when
+// cfg.Fanout <= 1 or there is a single target — the deterministic
+// order fanOut promises — and over at most Fanout concurrent senders
+// otherwise. The sequential case captures nothing in a closure, so a
+// put whose targets sit in a stack array keeps them there. Callers
+// must not hold n.mu.
+//
+//lint:requires-unlocked n.mu
+func (n *Node) syncWrite(p int, key, value []byte, ver uint64, targets []cluster.ServerID) []cluster.ServerID {
+	acked := targets[:0]
+	if n.cfg.Fanout <= 1 || len(targets) <= 1 {
+		for _, t := range targets {
+			if n.syncHolder(p, int(t), key, value, ver) {
+				acked = append(acked, t)
+			}
+		}
+		return acked
+	}
+	// fanOut's closure escapes to its goroutines, and with it all it
+	// captures: give it heap copies rather than the caller's array.
+	peers := append([]cluster.ServerID(nil), targets...)
+	ok := make([]bool, len(peers))
+	n.fanOut(len(peers), func(i int) { ok[i] = n.syncHolder(p, int(peers[i]), key, value, ver) })
+	for i, t := range peers {
+		if ok[i] {
+			acked = append(acked, t)
+		}
+	}
+	return acked
+}
+
+// syncHolder pushes one stamped write to one holder and reports whether
+// it durably acked it. A holder that answers StatusRetry has no
+// resident copy to apply onto (mid-rejoin, or claim-added before its
+// own view even lists it as a holder); it is healed with a ship whose
+// frozen state provably contains this stamped write, and the ship's
+// landing IS the durable ack — re-sending the sync would prove nothing,
+// since handleSync keeps refusing until the holder's view catches up an
+// epoch later. Callers must not hold n.mu.
+//
+//lint:requires-unlocked n.mu
+func (n *Node) syncHolder(p, t int, key, value []byte, ver uint64) bool {
+	resp, err := n.tr.Send(n.peerAddr(t), &transport.Message{
+		Kind: KindSync, Partition: uint32(p), Version: ver, Key: key, Value: value,
+	})
+	switch {
+	case err != nil:
+		return false
+	case resp.Status == transport.StatusRetry:
+		return n.shipPartition(p, t, ver)
+	default:
+		return resp.Status == transport.StatusOK
+	}
 }
 
 // fanOut runs do(0) … do(count-1), the unit of every multi-peer send.
@@ -785,19 +870,28 @@ func (n *Node) fanOut(count int, do func(i int)) {
 }
 
 func (n *Node) handlePut(req *transport.Message) (*transport.Message, error) {
-	key := string(req.Key)
-	p := n.PartitionOf(key)
+	p := n.PartitionOf(string(req.Key))
 	if req.Hops > 0 && int(req.Partition) != p {
 		return nil, fmt.Errorf("node %d: key maps to partition %d, message says %d", n.cfg.ID, p, req.Partition)
 	}
-	rcpt, err := n.routePut(p, key, req.Value, int(req.Hops))
+	offerer := -1
+	if req.Hops > 0 && req.Cursor == putDelegate {
+		offerer = int(req.Origin)
+	}
+	// The request's key bytes ride on: they are only borrowed for this
+	// call, and the forward and the syncs finish before it returns.
+	rcpt, delegated, err := n.routePut(p, req.Key, req.Value, int(req.Hops), offerer)
 	if err != nil {
 		return nil, err
 	}
-	return &transport.Message{
+	resp := &transport.Message{
 		Kind: KindPut, Partition: uint32(p), Version: rcpt.Version,
 		Value: appendAckSet(nil, rcpt.Acked),
-	}, nil
+	}
+	if delegated {
+		resp.Cursor = putDelegate
+	}
+	return resp, nil
 }
 
 func (n *Node) handleSync(req *transport.Message) (*transport.Message, error) {

@@ -19,10 +19,20 @@ const (
 	// StatusError.
 	KindGet uint8 = 1
 	// KindPut stores one key/value pair; non-primary receivers proxy it
-	// to the primary.
+	// to the primary with Hops 1. The StatusOK reply carries the stamped
+	// version in Version and the ascending ack set in Value. On a
+	// proxied request, Cursor = putDelegate says the forwarder — Origin,
+	// its roster index — holds a resident copy and offers to apply the
+	// write itself; Cursor 0 makes no offer and Origin means nothing. On
+	// the reply, Cursor = putDelegate says the primary accepted: it did
+	// not sync the forwarder, the ack set leaves it out, and the
+	// forwarder applies the write, adds itself and makes the W decision
+	// before it answers its client. Without that flag the forwarder
+	// applies nothing, so a primary that ignores the offer stays correct.
 	KindPut uint8 = 2
 	// KindSync is the primary's propagation of one versioned write to
-	// the other replica holders. A StatusOK reply means the holder
+	// the other replica holders (all but a forwarder it left its copy
+	// to, see KindPut). A StatusOK reply means the holder
 	// durably applied (or already had) that version and counts toward
 	// the write quorum; StatusRetry means the holder is not resident and
 	// needs a full snapshot first. Quorum reads also reuse it to push
@@ -133,6 +143,11 @@ var KindNames = map[uint8]string{
 	KindEpochRun:   "epoch-run",
 	KindDump:       "dump",
 }
+
+// putDelegate is the Cursor flag of a proxied KindPut: the forwarder's
+// offer to apply its own copy on the request, the primary's acceptance
+// on the reply.
+const putDelegate = 1
 
 // xferComplete is the Cursor sentinel a transfer-session reply carries
 // when the session has already completed: no chunk index is ever this
@@ -636,11 +651,12 @@ func decodeAEKeys(buf []byte) ([]string, error) {
 // decodeAckSet parses a KindPut response's ack set. peers bounds both
 // the count and every index; the count is also bounded by the buffer
 // (an index costs ≥1 byte), so DecodePutReceipt's loose bound cannot
-// size an allocation from a few bytes.
+// size an allocation from a few bytes. The set has room for one more
+// index: a forwarder the primary delegated its copy to adds itself.
 func decodeAckSet(buf []byte, peers int) ([]int, error) {
 	r := &uvarintReader{buf: buf}
 	n := r.nextInt(min(peers, len(buf)))
-	acked := make([]int, 0, n)
+	acked := make([]int, 0, n+1)
 	for i := 0; i < n && r.err == nil; i++ {
 		acked = append(acked, r.nextInt(peers-1))
 	}
