@@ -38,7 +38,7 @@ chaos-check:
 chaos-durable:
 	go run ./cmd/rfhchaos -seeds 50 -durable
 
-# The three trajectory dumps a behaviour-preserving refactor must hold
+# The two trajectory dumps a behaviour-preserving refactor must hold
 # byte-for-byte: run on the parent and on the change with different
 # DUMP_DIRs and `diff -r` them. -keep-going because a failing seed's
 # trajectory is part of what must not move.
@@ -47,6 +47,5 @@ chaos-dump:
 	mkdir -p $(DUMP_DIR)
 	-go run ./cmd/rfhchaos -seeds 50 -dump -keep-going > $(DUMP_DIR)/memory.txt
 	-go run ./cmd/rfhchaos -seeds 50 -durable -dump -keep-going > $(DUMP_DIR)/durable.txt
-	-go run ./cmd/rfhchaos -seeds 50 -durable -no-oneframe -dump -keep-going > $(DUMP_DIR)/durable-no-oneframe.txt
 
 all: build test bench-test lint

@@ -44,7 +44,6 @@ func main() {
 		coolEp   = flag.Int("cool-epochs", 0, "override recovery-window length")
 		dropRate = flag.Float64("drop", -1, "override message drop probability")
 		durable  = flag.Bool("durable", false, "run each scenario on the durable engine in a fresh temp directory (crashes keep disk state, restarts replay WALs)")
-		noFrame  = flag.Bool("no-oneframe", false, "with -durable: disable the one-frame snapshot threshold so every replica ship is a probed, delta-planned chunked session")
 		check    = flag.String("check", "linearizable", "history checkers at quiescence: linearizable (WGL search + session scan), sessions (linear scan only) or off")
 		dumpHist = flag.Bool("dump-history", false, "print every scenario's recorded op history (failing scenarios always print theirs)")
 	)
@@ -83,7 +82,6 @@ func main() {
 				os.Exit(2)
 			}
 			opts.DataDir = dir
-			opts.DisableOneFrame = *noFrame
 		}
 
 		res, err := chaos.Run(opts)

@@ -189,8 +189,8 @@ func cmdDump(args []string) error {
 		fmt.Printf("durable: %d/%d partitions resident, %d bytes, %d WAL records, %d compactions\n",
 			resident, len(d.Partitions), bytes, walRecords, compactions)
 		t := d.Transfers
-		fmt.Printf("transfers: %d started, %d completed, %d resumed, %d expired, %d chunks, %d one-frame\n",
-			t.Started, t.Completed, t.Resumed, t.Expired, t.ChunksSent, t.OneFrame)
+		fmt.Printf("transfers: %d started, %d completed, %d resumed, %d expired, %d chunks\n",
+			t.Started, t.Completed, t.Resumed, t.Expired, t.ChunksSent)
 		fmt.Printf("delta: %d delta sessions, %d full, %d bytes sent, %d bytes saved\n",
 			t.DeltaSessions, t.FullSessions, t.BytesSent, t.BytesSaved)
 	}

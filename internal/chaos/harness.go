@@ -35,9 +35,8 @@ type Result struct {
 	ReadErrs   int
 	Faults     metrics.FaultCounts
 	Violations []Violation
-	// Transfers aggregates every node's chunked-transfer counters over
-	// the whole run (zero in memory mode, where the tiny partitions
-	// never cross the one-frame threshold).
+	// Transfers aggregates every node's transfer-session counters over
+	// the whole run.
 	Transfers node.TransferStats
 	// History is the complete recorded operation history the checkers
 	// judged: every workload put and get with interval timestamps,
@@ -116,19 +115,13 @@ func Run(opts Options) (*Result, error) {
 	cfg.WriteQuorum = opts.WriteQuorum
 	cfg.ReadQuorum = opts.ReadQuorum
 	if opts.DataDir != "" {
-		cfg.DataDir = opts.DataDir    // the fleet adds per-node subdirectories
-		cfg.Fsync = false             // surviving Crash/Restart, not power cuts
-		cfg.WALCompactEvery = 16      // compact constantly under the tiny workload
-		cfg.SnapshotOneFrameBytes = 1 // every ship becomes a chunked session
-		if opts.DisableOneFrame {
-			cfg.SnapshotOneFrameBytes = -1 // no one-frame fallback at all
-		}
-		cfg.TransferChunkEntries = 1 // every session is multi-chunk
-		// Anti-entropy runs only in durable mode: memory-mode
-		// trajectories are pinned byte-for-byte to the pre-AE era, and
-		// the digest sweep would add sends (and fault-RNG draws) to
-		// every epoch. Durable trajectories are only ever compared
-		// between same-build runs, so the new frames are free there.
+		cfg.DataDir = opts.DataDir   // the fleet adds per-node subdirectories
+		cfg.Fsync = false            // surviving Crash/Restart, not power cuts
+		cfg.WALCompactEvery = 16     // compact constantly under the tiny workload
+		cfg.TransferChunkEntries = 1 // a ship of more than one key is multi-chunk
+		// Anti-entropy runs only in durable mode: the digest sweep
+		// would add sends (and fault-RNG draws) to every memory-mode
+		// epoch, and memory mode keeps the smaller message mix.
 		cfg.AEInterval = 4
 	}
 	fleet, err := node.NewFleetWrapped(opts.Nodes, cfg, func(i int, tr transport.Transport) transport.Transport {
@@ -149,15 +142,8 @@ func Run(opts Options) (*Result, error) {
 		opts.Seed, opts.Nodes, opts.Partitions, opts.KeysPerPartition,
 		opts.WriteQuorum, opts.ReadQuorum,
 		opts.WarmEpochs, opts.FaultEpochs, opts.CoolEpochs)
-	// Memory-mode trajectories must stay byte-for-byte what they were
-	// before the durable engine existed, so the durable marker is a
-	// separate, conditional line.
 	if opts.DataDir != "" {
-		oneFrame := 1
-		if opts.DisableOneFrame {
-			oneFrame = 0
-		}
-		fmt.Fprintf(&h.traj, "durable fsync=0 compact_every=16 chunked=1 ae=4 oneframe=%d\n", oneFrame)
+		h.traj.WriteString("durable fsync=0 compact_every=16 chunked=1 ae=4\n")
 	}
 
 	for e := 0; e < opts.Epochs(); e++ {
@@ -175,18 +161,15 @@ func Run(opts Options) (*Result, error) {
 		xfer.Expired += st.Expired
 		xfer.Resumed += st.Resumed
 		xfer.ChunksSent += st.ChunksSent
-		xfer.OneFrame += st.OneFrame
 		xfer.DeltaSessions += st.DeltaSessions
 		xfer.FullSessions += st.FullSessions
 		xfer.BytesSent += st.BytesSent
 		xfer.BytesSaved += st.BytesSaved
 		aePayload += nd.AEStats().PayloadBytes
 	}
-	if opts.DataDir != "" {
-		fmt.Fprintf(&h.traj, "transfers started=%d completed=%d expired=%d resumed=%d chunks=%d oneframe=%d delta=%d full=%d bytes=%d saved=%d ae_payload=%d\n",
-			xfer.Started, xfer.Completed, xfer.Expired, xfer.Resumed, xfer.ChunksSent, xfer.OneFrame,
-			xfer.DeltaSessions, xfer.FullSessions, xfer.BytesSent, xfer.BytesSaved, aePayload)
-	}
+	fmt.Fprintf(&h.traj, "transfers started=%d completed=%d expired=%d resumed=%d chunks=%d delta=%d full=%d bytes=%d saved=%d ae_payload=%d\n",
+		xfer.Started, xfer.Completed, xfer.Expired, xfer.Resumed, xfer.ChunksSent,
+		xfer.DeltaSessions, xfer.FullSessions, xfer.BytesSent, xfer.BytesSaved, aePayload)
 	fmt.Fprintf(&h.traj, "faults %s\n", h.faults.String())
 	fmt.Fprintf(&h.traj, "excused=%d\n", h.hist.excusedCount())
 	for i := range h.viols {
@@ -531,7 +514,7 @@ func (h *harness) deciderFor(i int) transport.FaultFunc {
 // instead of regressing them.
 func delayable(kind uint8) bool {
 	switch kind {
-	case node.KindSync, node.KindStore, node.KindDrop, node.KindStats,
+	case node.KindSync, node.KindDrop, node.KindStats,
 		node.KindXferBegin, node.KindXferChunk, node.KindXferCursor, node.KindXferDone,
 		node.KindAEDigest, node.KindAERepair, node.KindAEFetch:
 		return true

@@ -62,21 +62,13 @@ type Options struct {
 	// engine: each node gets its own subdirectory under it, crash events
 	// keep the victim's disk state, and restarts recover it — the
 	// schedule then exercises WAL replay, rejoin re-injection and the
-	// chunked-transfer resume cursors. The durable config forces every
-	// partition ship through multi-chunk sessions (one entry per chunk,
-	// one-frame threshold below any real payload) and compacts WALs
-	// aggressively, so even the small scenario fleets cross every
-	// durable code path. Empty keeps the in-memory store and the exact
-	// pre-durability trajectories.
+	// transfer-session resume cursors. The durable config cuts every
+	// partition with more than one key into one-entry chunks, so ships
+	// run multi-chunk sessions, and compacts WALs aggressively, so even
+	// the small scenario fleets cross every durable code path. Empty
+	// keeps the in-memory store, where every ship is a one-chunk
+	// session: a probe, then a begin that carries the chunk.
 	DataDir string
-
-	// DisableOneFrame forces the one-frame snapshot threshold negative
-	// in durable mode, so EVERY replica ship — even an empty
-	// partition's — goes through a probed, delta-planned chunked
-	// session. The CI durable variant uses it to exercise the delta
-	// transfer path on every seed. Ignored without DataDir: memory-mode
-	// trajectories are byte-pinned and must not change shape.
-	DisableOneFrame bool
 
 	// Verbose adds per-event lines to the trajectory dump.
 	Verbose bool

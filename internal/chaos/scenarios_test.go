@@ -162,16 +162,16 @@ func TestAckedWriteSurvivesPrimaryCrashMidWrite(t *testing.T) {
 }
 
 // TestQuorumWriteRefusedWhenReplicationSevered severs every
-// replication path (KindSync and the KindStore snapshot fallback) and
-// requires a W=2 put to come back as an error naming the quorum
-// shortfall. This is the converse bug the quorum data plane fixes:
+// replication path (KindSync, and the StatusRetry ship fallback at its
+// KindXferBegin) and requires a W=2 put to come back as an error
+// naming the quorum shortfall. This is the converse bug the quorum data plane fixes:
 // the pre-quorum Put acked after the primary's local apply even when
 // zero replicas heard about the write.
 func TestQuorumWriteRefusedWhenReplicationSevered(t *testing.T) {
 	severed := false
 	wrap := func(i int, tr transport.Transport) transport.Transport {
 		return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
-			if severed && (m.Kind == node.KindSync || m.Kind == node.KindStore) {
+			if severed && (m.Kind == node.KindSync || m.Kind == node.KindXferBegin) {
 				return transport.FaultDrop
 			}
 			return transport.FaultDeliver

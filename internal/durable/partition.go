@@ -52,7 +52,7 @@ type PartitionState struct {
 // PartitionStats is the per-partition introspection surfaced in dumps.
 type PartitionStats struct {
 	Keys        int
-	Bytes       int // sum of len(key)+len(val): what the one-frame ship threshold compares
+	Bytes       int // sum of len(key)+len(val): the payload a full transfer ships
 	Resident    bool
 	Holds       int // outstanding compaction holds (outbound transfers in flight)
 	WALRecords  int // records appended since the last compaction
@@ -390,9 +390,9 @@ func (pt *Partition) grant() error {
 	return pt.commit(&record{op: opResident})
 }
 
-// MergeSnapshot folds a one-frame transferred snapshot in. The
-// partition becomes resident — after the merge its content covers at
-// least everything the sender had.
+// MergeSnapshot folds a whole snapshot in and makes the partition
+// resident — after the merge its content covers at least everything
+// the snapshot held. Merging nil re-adopts the local content as is.
 func (pt *Partition) MergeSnapshot(entries []Entry) error {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -610,9 +610,9 @@ func (pt *Partition) Lookup(keys []string) []Entry {
 }
 
 // sortedEntries flattens the records into ascending key order — the
-// canonical form snapshots, one-frame ships and transfer sessions slice
-// from. It is the seam where a paged (larger-than-RAM) store would
-// stream from the snapshot+WAL pair instead. Callers hold pt.mu.
+// canonical form snapshots and transfer sessions slice from. It is the
+// seam where a paged (larger-than-RAM) store would stream from the
+// snapshot+WAL pair instead. Callers hold pt.mu.
 func (pt *Partition) sortedEntries() []Entry {
 	keys := make([]string, 0, len(pt.data))
 	for k := range pt.data {

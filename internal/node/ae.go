@@ -264,7 +264,7 @@ func (n *Node) runAEPulls(pulls []aePull) {
 				Value:     freq,
 			})
 			if err == nil && resp.Status == transport.StatusOK {
-				if got, derr := decodeSnapshot(resp.Value); derr == nil {
+				if got, derr := decodeEntries(resp.Value); derr == nil {
 					if merged, applied, merr := pl.part.MergeResident(got); merr == nil && applied && merged > 0 {
 						n.aeHealedN.Add(int64(merged))
 					}
@@ -379,7 +379,7 @@ func (n *Node) handleAERepair(req *transport.Message) (*transport.Message, error
 	if err != nil {
 		return nil, err
 	}
-	entries, err := decodeSnapshot(req.Value)
+	entries, err := decodeEntries(req.Value)
 	if err != nil {
 		return nil, err
 	}

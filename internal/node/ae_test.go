@@ -96,7 +96,7 @@ func TestAntiEntropyHealsSeveredHolder(t *testing.T) {
 			if m.Kind == KindGet || m.Kind == KindVer {
 				reads++
 			}
-			if severed && (m.Kind == KindSync || m.Kind == KindStore) {
+			if severed && (m.Kind == KindSync || m.Kind == KindXferBegin) {
 				return transport.FaultDrop
 			}
 			return transport.FaultDeliver

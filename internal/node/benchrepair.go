@@ -46,7 +46,7 @@ func repairEntries(keys int) []durable.Entry {
 	return entries
 }
 
-// MeasureTransferRepair runs two real chunked transfer sessions over
+// MeasureTransferRepair runs two real transfer sessions over
 // loopback — a cold full migration, then a re-migration after
 // `divergent` fresh writes — and reports the encoded request bytes
 // each put on the wire. The fleet's transport is wrapped with a
@@ -60,7 +60,6 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	cfg.Seed = 7
 	cfg.WriteQuorum = 1
 	cfg.ReadQuorum = 1
-	cfg.SnapshotOneFrameBytes = -1 // every ship is a probed, planned session
 	cfg.TransferLeaseEpochs = 1 << 20
 
 	var wireBytes int64

@@ -91,15 +91,9 @@ type Config struct {
 	// before its log folds into a snapshot (default 1024).
 	WALCompactEvery int
 
-	// SnapshotOneFrameBytes is the size threshold that splits replica
-	// shipping: a partition whose payload stays under it travels as one
-	// KindStore frame, anything larger goes through a chunked transfer
-	// session (default 64 KiB). Negative disables one-frame shipping
-	// entirely — every ship becomes a session, so even empty partitions
-	// take the probed, delta-planned path (sizeBytes is never negative).
-	SnapshotOneFrameBytes int
 	// TransferChunkEntries bounds the entries one transfer chunk carries
-	// (default 256); chunks also cap at a fixed byte size.
+	// (default 256); chunks also cap at a fixed byte size. A partition
+	// that fits one chunk ships in a single begin message.
 	TransferChunkEntries int
 	// TransferLeaseEpochs is how many epochs an outbound transfer
 	// session may go without progress before the source abandons it and
@@ -207,9 +201,6 @@ func (c *Config) Validate() error {
 	// 0 means "unset" for the durability and transfer knobs too.
 	if c.WALCompactEvery == 0 {
 		c.WALCompactEvery = 1024
-	}
-	if c.SnapshotOneFrameBytes == 0 {
-		c.SnapshotOneFrameBytes = 64 << 10
 	}
 	if c.TransferChunkEntries == 0 {
 		c.TransferChunkEntries = 256

@@ -25,6 +25,7 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 
 	const key = "dispatch-key"
 	const dispatchSession = uint64(0xD15)
+	xferChunk := []durable.Entry{{Key: "xfer-key", Val: []byte("xv"), Ver: 1}}
 	p := h.nodes[0].PartitionOf(key)
 
 	// Address the partition's primary: the one node guaranteed both
@@ -60,9 +61,6 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 			msg = &transport.Message{Kind: kind, Key: []byte(key), Value: []byte("v2")}
 		case KindSync:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Key: []byte(key), Value: []byte("v3"), Version: 1 << 40}
-		case KindStore:
-			snap := encodeSnapshot(t, durable.Entry{Key: "other-key", Val: []byte("sv"), Ver: 1})
-			msg = &transport.Message{Kind: kind, Partition: uint32(p), Value: snap}
 		case KindDrop:
 			// The primary refuses the drop (StatusRetry) rather than
 			// destroying its authoritative copy; either way the kind is
@@ -76,15 +74,16 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 		case KindVer:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Key: []byte(key)}
 		// The four transfer kinds arrive in protocol order (the kinds
-		// iterate sorted: begin 9, chunk 10, cursor 11, done 12), so one
-		// shared scripted session exercises a full 1-chunk transfer.
+		// iterate sorted: begin 9, chunk 10, cursor 11, done 12) on one
+		// shared scripted session. Its begin carries its only chunk and
+		// completes it, so the chunk, cursor and done that follow are
+		// answered as replays of a finished session.
 		case KindXferBegin:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
-				Value: appendXferBegin(nil, 1, false)}
+				Value: appendXferBegin(nil, 1, false, xferChunk)}
 		case KindXferChunk:
-			chunk := appendEntries(nil, []durable.Entry{{Key: "xfer-key", Val: []byte("xv"), Ver: 1}})
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
-				Cursor: 0, Value: chunk}
+				Cursor: 0, Value: appendEntries(nil, xferChunk)}
 		case KindXferCursor:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession}
 		case KindXferDone:

@@ -59,6 +59,7 @@ type (
 	fuzzXferBegin struct {
 		total uint32
 		mark  bool
+		chunk []durable.Entry
 	}
 	fuzzAESub struct {
 		tops []int
@@ -95,11 +96,11 @@ var wireBlobs = []func(*testing.T, []byte){
 		func(x fuzzXferInfo) []byte { return appendXferInfo(nil, x.resident, x.leaves, x.root) }),
 	blobCodec("xfer-begin",
 		func(b []byte) (fuzzXferBegin, error) {
-			total, mark, err := decodeXferBegin(b)
-			return fuzzXferBegin{total, mark}, err
+			total, mark, chunk, err := decodeXferBegin(b)
+			return fuzzXferBegin{total, mark, chunk}, err
 		},
-		func(fuzzXferBegin) int { return 1 },
-		func(x fuzzXferBegin) []byte { return appendXferBegin(nil, x.total, x.mark) }),
+		func(x fuzzXferBegin) int { return 1 + len(x.chunk) },
+		func(x fuzzXferBegin) []byte { return appendXferBegin(nil, x.total, x.mark, x.chunk) }),
 	blobCodec("ae-sub",
 		func(b []byte) (fuzzAESub, error) {
 			tops, subs, err := decodeAESub(b)
@@ -129,7 +130,7 @@ var wireBlobs = []func(*testing.T, []byte){
 	blobCodec("ae-keys", decodeAEKeys,
 		func(keys []string) int { return len(keys) },
 		func(keys []string) []byte { return appendAEKeys(nil, keys) }),
-	blobCodec("snapshot", decodeSnapshot,
+	blobCodec("entries", decodeEntries,
 		func(entries []durable.Entry) int { return len(entries) },
 		func(entries []durable.Entry) []byte { return appendEntries(nil, entries) }),
 	blobCodec("ack-set",
@@ -165,9 +166,9 @@ func wireBlobSeeds() [][]byte {
 		appendXferInfo(nil, true, leaves, 42),
 		appendXferInfo(nil, true, nil, 7),
 		appendXferInfo(nil, false, nil, 0),
-		appendXferBegin(nil, 0, false),
-		appendXferBegin(nil, 17, true),
-		appendXferBegin(nil, 1<<32-1, true),
+		appendXferBegin(nil, 0, false, nil),
+		appendXferBegin(nil, 17, true, nil),
+		appendXferBegin(nil, 1<<32-1, true, nil),
 		appendAESub(nil, []int{0, 5, aeTop - 1}, subs),
 		appendAEKeylists(nil, []int{3, 700, aeSubCount - 1}, [][]aeKeyVer{
 			{{key: "a", ver: 1}, {key: "bb", ver: 1 << 40}},
@@ -189,5 +190,10 @@ func wireBlobSeeds() [][]byte {
 		{0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		binary.AppendUvarint([]byte{1}, 1<<20),
 		binary.AppendUvarint(nil, 1<<40),
+		// A one-chunk begin, carrying its chunk.
+		appendXferBegin(nil, 1, true, []durable.Entry{
+			{Key: "alpha", Val: []byte("1"), Ver: 7},
+			{Key: "beta", Val: []byte{}, Ver: 0},
+		}),
 	}
 }

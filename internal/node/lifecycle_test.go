@@ -116,23 +116,34 @@ func TestStaleClaimDoesNotMoveReplicas(t *testing.T) {
 	h.assertViewsAgree()
 }
 
-// TestReplayedStoreIsIdempotent delivers the same KindStore snapshot
-// transfer twice and asserts the second application changes nothing:
-// same keys, same values, and no traffic counters charged — a
-// duplicated transfer on a flaky network must not double-count
-// anything.
+// oneChunkBegin is a whole one-chunk ship of partition p as its single
+// message: a KindXferBegin that carries the chunk and marks the target
+// resident.
+func oneChunkBegin(p uint32, session uint64, entries ...durable.Entry) *transport.Message {
+	return &transport.Message{
+		Kind: KindXferBegin, Partition: p, Session: session,
+		Value: appendXferBegin(nil, 1, true, entries),
+	}
+}
+
+// TestReplayedStoreIsIdempotent delivers the same one-message ship (a
+// begin carrying its only chunk) twice and asserts the second
+// application changes nothing: same keys, same values, both answered
+// complete, and no traffic counters charged — a duplicated transfer on
+// a flaky network must not double-count anything.
 func TestReplayedStoreIsIdempotent(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := encodeSnapshot(t, durable.Entry{Key: "a", Val: []byte("1"), Ver: 3}, durable.Entry{Key: "b", Val: []byte("2"), Ver: 4})
-	msg := &transport.Message{Kind: KindStore, Partition: p, Value: snap}
+	nd.store.Part(p).Drop()
+	msg := oneChunkBegin(p, 0x5107E,
+		durable.Entry{Key: "a", Val: []byte("1"), Ver: 3}, durable.Entry{Key: "b", Val: []byte("2"), Ver: 4})
 
 	apply := func() (int, []byte) {
 		t.Helper()
 		resp, err := nd.Handle("node1", msg)
-		if err != nil || resp.Status != transport.StatusOK {
-			t.Fatalf("store transfer failed: resp=%+v err=%v", resp, err)
+		if err != nil || resp.Status != transport.StatusOK || resp.Cursor != xferComplete {
+			t.Fatalf("one-message ship did not complete: resp=%+v err=%v", resp, err)
 		}
 		va, _, _, _ := nd.store.Part(p).Get("a")
 		return nd.store.Part(p).Stats().Keys, append([]byte(nil), va...)
@@ -140,36 +151,43 @@ func TestReplayedStoreIsIdempotent(t *testing.T) {
 	k1, v1 := apply()
 	k2, v2 := apply()
 	if k1 != 2 || k2 != 2 || string(v1) != "1" || string(v2) != "1" {
-		t.Errorf("replayed KindStore not idempotent: keys %d/%d values %q/%q", k1, k2, v1, v2)
+		t.Errorf("replayed one-message ship not idempotent: keys %d/%d values %q/%q", k1, k2, v1, v2)
+	}
+	if !nd.store.Part(p).Stats().Resident {
+		t.Error("a completed full ship left the target non-resident")
 	}
 	nd.mu.Lock()
 	flushed := nd.store.flushCounters()
 	nd.mu.Unlock()
 	if len(flushed) != 0 {
-		t.Errorf("snapshot transfer charged traffic counters: %+v", flushed)
+		t.Errorf("transfer charged traffic counters: %+v", flushed)
 	}
 }
 
-// TestReplayedStoreDoesNotRollBack delivers a snapshot, applies a
-// newer versioned sync on top, then replays the original snapshot: the
-// delayed duplicate must not roll the key back to the older version.
+// TestReplayedStoreDoesNotRollBack delivers a one-message ship, applies
+// a newer versioned sync on top, then replays the original begin, and
+// finally delivers the same stale chunk under a fresh session id: the
+// replay is answered from the done-list and the fresh session merges
+// version-gated, so neither rolls the key back to the older version.
 func TestReplayedStoreDoesNotRollBack(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := encodeSnapshot(t, durable.Entry{Key: "a", Val: []byte("old"), Ver: 3})
-	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
+	old := durable.Entry{Key: "a", Val: []byte("old"), Ver: 3}
+	if _, err := nd.Handle("node1", oneChunkBegin(p, 0xB0, old)); err != nil {
 		t.Fatal(err)
 	}
 	if !nd.store.Part(p).ApplySync("a", []byte("new"), 9) {
 		t.Fatal("sync refused on a resident partition")
 	}
-	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
-		t.Fatal(err)
-	}
-	v, ver, _, _ := nd.store.Part(p).Get("a")
-	if string(v) != "new" || ver != 9 {
-		t.Errorf("replayed snapshot rolled key back: got (%q, %d), want (\"new\", 9)", v, ver)
+	for _, sid := range []uint64{0xB0, 0xB1} {
+		if _, err := nd.Handle("node1", oneChunkBegin(p, sid, old)); err != nil {
+			t.Fatal(err)
+		}
+		v, ver, _, _ := nd.store.Part(p).Get("a")
+		if string(v) != "new" || ver != 9 {
+			t.Errorf("session %#x rolled key back: got (%q, %d), want (\"new\", 9)", sid, v, ver)
+		}
 	}
 }
 

@@ -66,10 +66,10 @@ type DecisionCounts struct {
 //
 // Locking splits the data plane from the control plane: n.mu is a
 // RWMutex whose read side guards the view pointers the request paths
-// consult (Get/Put/Sync/Store/Drop take RLock, then the touched
-// partition's own shard lock inside store), while the write side is
-// reserved for the epoch machinery and lifecycle transitions
-// (FlushEpoch, RunEpoch, Crash, Restart, handleStats). Concurrent
+// consult (Get/Put/Sync/Drop and the transfer handlers take RLock,
+// then the touched partition's own shard lock inside store), while the
+// write side is reserved for the epoch machinery and lifecycle
+// transitions (FlushEpoch, RunEpoch, Crash, Restart, handleStats). Concurrent
 // reads and writes for different partitions therefore never serialise
 // against each other, and contend with an epoch tick only for the
 // tick's own duration. Lock hierarchy: n.mu before any store shard
@@ -105,14 +105,14 @@ type Node struct {
 
 	// syncFails counts replica copies this node could not land: as a
 	// primary, syncs that failed (send failed, or the holder refused and
-	// the snapshot fallback failed too); as a forwarding holder, its own
+	// the ship fallback failed too); as a forwarding holder, its own
 	// delegated apply refused after a drop or crash. Atomic because the
 	// fan-out runs outside n.mu. Every failure is a holder missing a
 	// write until repair catches it — surfaced in DumpInfo so operators
 	// see silent replication decay.
 	syncFails atomic.Int64
 
-	// Outbound chunked transfer sessions (see transfer.go). xmu is a
+	// Outbound transfer sessions (see transfer.go). xmu is a
 	// leaf lock under n.mu; never held across a send. xgen is the
 	// store's boot generation, folded into session ids so a restarted
 	// process never re-issues one (0 in memory mode); it is written
@@ -213,7 +213,7 @@ func (n *Node) DecisionCounts() DecisionCounts {
 
 // SyncFails returns the cumulative count of replica copies this node
 // failed to land: syncs it sent as a primary (send failed, or the
-// holder refused and the snapshot fallback failed too), and its own
+// holder refused and the ship fallback failed too), and its own
 // copy of a write it forwarded as a holder when the primary left that
 // copy to it but a drop or crash refused the apply.
 func (n *Node) SyncFails() int64 { return n.syncFails.Load() }
@@ -368,8 +368,6 @@ func (n *Node) Handle(from string, req *transport.Message) (*transport.Message, 
 		return n.handleSync(req)
 	case KindVer:
 		return n.handleVer(req)
-	case KindStore:
-		return n.handleStore(req)
 	case KindXferBegin:
 		return n.handleXferBegin(req)
 	case KindXferChunk:
@@ -460,9 +458,9 @@ func (n *Node) routeGet(p int, key string, origin, hops int) ([]byte, uint64, bo
 	// always serves but counts the excess as overflow — the live path
 	// never refuses a query, it records the pressure signal behind
 	// eq. (12) instead. A non-resident replica (drop order applied but
-	// the peer views' claims have not caught up, or snapshot still in
-	// flight) forwards to the primary instead of serving content it no
-	// longer vouches for. The arrival accounting and capacity check are
+	// the peer views' claims have not caught up, or its transfer session
+	// still in flight) forwards to the primary instead of serving
+	// content it no longer vouches for. The arrival accounting and capacity check are
 	// atomic under the partition's counter lock.
 	v, ver, ok, served := n.store.arriveAndTryServe(p, key, hops == 0,
 		n.cfg.ReplicaCapacity, primary == n.self, n.view.hasReplica(p, n.self))
@@ -535,8 +533,10 @@ type readVote struct {
 // holders answered), returns the highest-versioned copy, and pushes
 // that winner to every stale voter it saw — read-repair, the
 // foreground half of anti-entropy: any divergence a quorum read can
-// observe it also heals. Unreachable or non-resident holders simply
-// don't vote; the read fails only when fewer than r votes assemble.
+// observe it also heals. Unreachable or non-resident holders don't
+// vote, and the read fails when fewer than r votes assemble; a
+// non-resident voter is shipped the partition from a resident
+// coordinator, so the next read counts it.
 // part is the coordinator's own copy of p, taken under n.mu: a crash
 // swaps the store, so the pointer must not be re-read here. Callers
 // must not hold n.mu.
@@ -544,6 +544,7 @@ type readVote struct {
 //lint:requires-unlocked n.mu
 func (n *Node) quorumRead(p int, part *durable.Partition, key string, v []byte, ver uint64, ok bool, targets []int, r int) ([]byte, uint64, bool, error) {
 	votes := []readVote{{peer: n.self, val: v, ver: ver, found: ok}}
+	var unresident []int
 	for _, t := range targets {
 		if len(votes) >= r {
 			break
@@ -559,10 +560,22 @@ func (n *Node) quorumRead(p int, part *durable.Partition, key string, v []byte, 
 			votes = append(votes, readVote{peer: t, val: resp.Value, ver: resp.Version, found: true})
 		case transport.StatusNotFound:
 			votes = append(votes, readVote{peer: t, found: false})
+		case transport.StatusRetry:
+			unresident = append(unresident, t)
 		default:
-			// StatusError / StatusRetry: the holder answered but could
-			// not serve the probe, so it does not vote. The quorum
-			// check below decides whether the read still stands.
+			// StatusError: the holder answered but could not serve the
+			// probe, so it does not vote. The quorum check below decides
+			// whether the read still stands.
+		}
+	}
+	// A non-resident holder does not vote either, and nothing else may
+	// ever ship to it — a holder promoted to primary while non-resident
+	// is no one's sync target. Heal it from this copy when this copy is
+	// authoritative, as syncHolder heals a sync target; later reads then
+	// count its vote.
+	if len(unresident) > 0 && part.Stats().Resident {
+		for _, t := range unresident {
+			n.shipPartition(p, t, 0)
 		}
 	}
 	if len(votes) < r {
@@ -935,28 +948,7 @@ func (n *Node) handleVer(req *transport.Message) (*transport.Message, error) {
 	}
 }
 
-// --- Replica transfer -----------------------------------------------
-
-func (n *Node) handleStore(req *transport.Message) (*transport.Message, error) {
-	p, err := n.checkPartition(req.Partition)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := decodeSnapshot(req.Value)
-	if err != nil {
-		return nil, err
-	}
-	// Version-aware merge, not replacement: a replayed or delayed
-	// snapshot transfer must never roll a key back below a version a
-	// later sync already installed here.
-	n.mu.RLock()
-	err = n.store.Part(p).MergeSnapshot(entries)
-	n.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return &transport.Message{Kind: KindStore, Partition: req.Partition}, nil
-}
+// --- Replica drop ----------------------------------------------------
 
 func (n *Node) handleDrop(req *transport.Message) (*transport.Message, error) {
 	p, err := n.checkPartition(req.Partition)
@@ -1157,8 +1149,9 @@ func (n *Node) RunEpoch() error {
 	// Data movement happens outside the lock: the loopback transport
 	// delivers synchronously, and the receiving node takes its own lock.
 	n.sendOps(ops)
-	// Then drive the chunked transfer sessions a round (and age their
-	// leases). A node with no sessions in flight sends nothing here.
+	// Then drive the transfer sessions — every replica ship is one — a
+	// round (and age their leases). A node with no sessions in flight
+	// sends nothing here.
 	n.pumpTransfers()
 	// Finally the anti-entropy pull rounds against the primaries whose
 	// piggybacked digests disagree with this node's — empty except on
@@ -1170,7 +1163,7 @@ func (n *Node) RunEpoch() error {
 // rejoinReinjectLocked runs once, at the moment a restarted node's
 // view completes: every partition whose recovered (non-resident) copy
 // still has data is pushed back toward the cluster. EVERY current
-// holder gets it through a chunked session that does NOT mark it
+// holder gets it through a transfer session that does NOT mark it
 // resident there (it already is) — primary-only injection would leave
 // the co-holders permanently divergent, since they serve reads locally
 // and nothing re-ships a partition they already hold. Version-gated
@@ -1370,7 +1363,8 @@ func (n *Node) foldTrackerLocked() *workload.Matrix {
 // applyDecisionLocked executes the slice of the decision this node is
 // responsible for: only the partition's primary applies structural
 // actions — same bandwidth gating and failed-migration fallback as the
-// simulator — and ships the snapshots and drop orders they imply.
+// simulator — opens the transfer sessions they imply and returns their
+// drop orders.
 // Non-primary nodes discard the decision and learn the outcome from
 // the primary's next placement claim instead. The one-epoch metadata
 // lag is deliberate: under message loss the per-node traffic trackers
@@ -1391,23 +1385,8 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 	size := n.cfg.PartitionSize
 	var ops []outOp
 
-	// shipOp routes one replica ship by size: a partition under the
-	// one-frame threshold travels as a single KindStore message, a
-	// larger one opens a chunked transfer session that RunEpoch pumps
-	// after the lock drops (ok=false: nothing to append to ops).
-	shipOp := func(p, target int) (outOp, bool) {
-		if snap, ok := n.oneFrameSnapshot(n.store.Part(p)); ok {
-			n.xmu.Lock()
-			n.xstats.OneFrame++
-			n.xstats.BytesSent += int64(len(snap))
-			n.xmu.Unlock()
-			return outOp{peer: target, msg: &transport.Message{
-				Kind: KindStore, Partition: uint32(p), Value: snap,
-			}}, true
-		}
-		n.startTransferLocked(p, target, true)
-		return outOp{}, false
-	}
+	// Every replica ship opens a transfer session, which RunEpoch pumps
+	// after the lock drops; only drop orders travel as ops.
 	dropOp := func(p, target int) outOp {
 		return outOp{peer: target, msg: &transport.Message{
 			Kind: KindDrop, Partition: uint32(p),
@@ -1430,9 +1409,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 		}
 		n.counts.Repl++
 		if int(tgt) != n.self {
-			if op, ok := shipOp(p, int(tgt)); ok {
-				ops = append(ops, op)
-			}
+			n.startTransferLocked(p, int(tgt), true)
 		}
 	}
 	for _, mig := range dec.Migrations {
@@ -1457,27 +1434,17 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 			// simulator's half-completed move).
 			n.counts.Repl++
 			if int(to) != n.self {
-				if op, ok := shipOp(p, int(to)); ok {
-					ops = append(ops, op)
-				}
+				n.startTransferLocked(p, int(to), true)
 			}
 			continue
 		}
 		n.counts.Migr++
 		if int(to) != n.self {
-			// Snapshot (or open the session) BEFORE the source drop
-			// below: when this node is both source and shipper, dropping
-			// first would ship an empty partition.
-			if op, ok := shipOp(p, int(to)); ok {
-				ops = append(ops, op)
-			}
+			n.startTransferLocked(p, int(to), true)
 		}
-		if int(from) == n.self {
-			n.store.Part(p).Drop()
-		}
-		if int(from) != n.self {
-			ops = append(ops, dropOp(p, int(from)))
-		}
+		// The source is never this node: this node is the primary, and a
+		// migration away from the primary degraded to a replication above.
+		ops = append(ops, dropOp(p, int(from)))
 	}
 	for _, sui := range dec.Suicides {
 		p, s := sui.Partition, sui.Server

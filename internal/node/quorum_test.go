@@ -44,7 +44,7 @@ func TestQuorumMatrix(t *testing.T) {
 			for p := 0; p < 3; p++ {
 				key := PartitionKey(p, 12)
 				val := fmt.Sprintf("w%d.r%d.p%d", tc.w, tc.r, p)
-				rcpt, err := f.Node(p % 4).PutQuorum(key, []byte(val))
+				rcpt, err := f.Node(p%4).PutQuorum(key, []byte(val))
 				if err != nil {
 					t.Fatalf("put %s: %v", key, err)
 				}
@@ -66,12 +66,12 @@ func TestQuorumMatrix(t *testing.T) {
 }
 
 // severing fault wrapper: while *severed is set, drops every
-// replication message (sync and snapshot) so writes cannot reach
-// secondary holders.
+// replication message (sync, and the begin of every ship) so writes
+// cannot reach secondary holders.
 func severWrap(severed *bool) WrapTransport {
 	return func(i int, tr transport.Transport) transport.Transport {
 		return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
-			if *severed && (m.Kind == KindSync || m.Kind == KindStore) {
+			if *severed && (m.Kind == KindSync || m.Kind == KindXferBegin) {
 				return transport.FaultDrop
 			}
 			return transport.FaultDeliver
@@ -240,5 +240,42 @@ func TestQuorumAboveFloorRejectedAtBoot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("rejected for the wrong reason: %v", err)
+	}
+}
+
+// TestQuorumReadHealsNonResidentPrimary: a primary whose copy is not
+// resident answers version probes with StatusRetry, and as no one's
+// sync target nothing else ever ships to it. With R=2 and holders
+// {primary, co-holder}, the first read at the co-holder misses its
+// quorum but ships the partition to the primary from the co-holder's
+// resident copy; from then on reads succeed and the primary is
+// resident.
+func TestQuorumReadHealsNonResidentPrimary(t *testing.T) {
+	f, err := NewFleet(4, quorumConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 4; i++ {
+		if err := f.Tick(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+	}
+	key, primary, co, _ := forwardingHolder(t, f, 2)
+	p := f.Node(co).PartitionOf(key)
+	if err := f.Node(primary).store.Part(p).Revoke(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := f.Node(co).Get(key); err == nil || !strings.Contains(err.Error(), "read quorum not met") {
+		t.Fatalf("first read with a non-resident primary: err %v, want a missed read quorum", err)
+	}
+	if !f.Node(primary).Dump().Partitions[p].Resident {
+		t.Fatal("the missed read did not ship the partition to the non-resident primary")
+	}
+	for i := 0; i < 2; i++ {
+		if v, ok, err := f.Node(co).Get(key); err != nil || !ok || string(v) != "v0" {
+			t.Fatalf("read %d after the heal: got (%q, %v, %v), want \"v0\"", i, v, ok, err)
+		}
 	}
 }

@@ -2,15 +2,19 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
-// Chunked replica transfers (the zrepl step model): instead of one
-// KindStore frame carrying a whole partition, the source freezes a
-// snapshot, slices it into chunks, and drives a session of
-// probe → begin → chunk* → done exchanges. The TARGET owns the resume
+// Replica transfers (the zrepl step model): every partition ship —
+// replicate and migrate decisions, the StatusRetry heal, rejoin
+// re-injection — is a session. The source freezes a snapshot, slices
+// it into chunks, and drives probe → begin → chunk* → done exchanges.
+// A plan of at most one chunk is probe → begin: the begin carries the
+// chunk and the target closes the session before it answers, so a
+// small ship costs two round trips. The TARGET owns the resume
 // cursor — the next chunk index it wants — persists it (durable
 // engine) and echoes it on every reply, so the source never guesses:
 // after any fault, duplicate or restart it adopts the target's cursor
@@ -72,23 +76,23 @@ const (
 // since start. Resumed increments when a session continues from a
 // nonzero cursor the target reported after an interruption — the
 // signal the crash-mid-transfer scenarios assert on. DeltaSessions
-// and FullSessions split planned sessions by outcome; BytesSent counts
-// payload bytes actually shipped (chunks + one-frame snapshots) and
-// BytesSaved the payload bytes delta planning avoided shipping.
+// and FullSessions split planned sessions by outcome; ChunksSent and
+// BytesSent count the chunks actually shipped (a one-chunk begin's
+// included) and their payload bytes, and BytesSaved the payload bytes
+// delta planning avoided shipping.
 type TransferStats struct {
 	Started       int64 `json:"started"`
 	Completed     int64 `json:"completed"`
 	Expired       int64 `json:"expired"`
 	Resumed       int64 `json:"resumed"`
 	ChunksSent    int64 `json:"chunks_sent"`
-	OneFrame      int64 `json:"one_frame"`
 	DeltaSessions int64 `json:"delta_sessions"`
 	FullSessions  int64 `json:"full_sessions"`
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesSaved    int64 `json:"bytes_saved"`
 }
 
-// xferSession is one outbound chunked transfer of partition p toward
+// xferSession is one outbound transfer of partition p toward
 // target. The snapshot is frozen (and sliced) at planning time — the
 // first pump's probe — not at session creation, so the plan can freeze
 // only the delta the target actually needs.
@@ -130,8 +134,14 @@ func (n *Node) TransferStats() TransferStats {
 func (n *Node) startTransferLocked(p, target int, mark bool) *xferSession {
 	n.xmu.Lock()
 	defer n.xmu.Unlock()
+	return n.sessionXLocked(p, target, mark, true)
+}
+
+// sessionXLocked returns the pair's live session — one a pump holds
+// only if reuseBusy — or opens one. Callers hold n.mu and n.xmu.
+func (n *Node) sessionXLocked(p, target int, mark, reuseBusy bool) *xferSession {
 	for _, s := range n.xfers {
-		if s.p == p && s.target == target {
+		if s.p == p && s.target == target && (reuseBusy || !s.busy) {
 			return s
 		}
 	}
@@ -167,6 +177,12 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 		// below it can be skipped. Ship the full frozen snapshot.
 		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
 	}
+	if !slices.ContainsFunc(entries, func(e durable.Entry) bool { return e.Ver <= watermark }) {
+		// Nothing at or below the watermark (a resident-but-empty target
+		// at watermark 0, say): every entry ships, so the plan is full, and
+		// no tree need be built to learn that.
+		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
+	}
 	below := NewAETree()
 	for _, e := range entries {
 		if e.Ver <= watermark {
@@ -189,23 +205,13 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 		}
 	}
 	if len(kept) == len(entries) {
-		// A plan that keeps everything anyway (say a resident-but-empty
-		// target at watermark 0) is a full plan, not a delta: it keeps its
-		// residency-marking power and counts nothing as saved.
+		// A plan that keeps everything anyway (every bucket below the
+		// watermark disagrees, say) is a full plan, not a delta: it keeps
+		// its residency-marking power and counts nothing as saved.
 		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
 	}
 	saved = int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
 	return sliceChunks(kept, n.cfg.TransferChunkEntries), ver, true, saved
-}
-
-// oneFrameSnapshot encodes a partition for a single KindStore frame,
-// when its payload is at or under the one-frame threshold.
-func (n *Node) oneFrameSnapshot(part *durable.Partition) ([]byte, bool) {
-	if part.Stats().Bytes > n.cfg.SnapshotOneFrameBytes {
-		return nil, false
-	}
-	entries, _ := part.Entries()
-	return appendEntries(nil, entries), true
 }
 
 // sliceChunks splits a frozen entry slice into chunks of at most
@@ -238,20 +244,24 @@ func (n *Node) clearTransfersLocked() {
 	n.xmu.Unlock()
 }
 
-// pumpTransfers drives every outbound session one round, in session
-// order (deterministic under Fanout=1 harnesses), and ages the leases:
-// a session whose cursor made no progress for TransferLeaseEpochs
-// consecutive pumps is abandoned and its snapshot hold released.
-// Callers must not hold n.mu.
+// pumpTransfers drives every outbound session one round through
+// fanOut — in session order under Fanout <= 1 (the deterministic
+// harnesses), concurrently in pumpLanes otherwise — and ages the
+// leases: a session whose cursor made no progress for
+// TransferLeaseEpochs consecutive pumps is abandoned and its snapshot
+// hold released. Callers must not hold n.mu.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) pumpTransfers() {
 	n.xmu.Lock()
 	sessions := append([]*xferSession(nil), n.xfers...)
 	n.xmu.Unlock()
-	for _, s := range sessions {
-		n.pumpSession(s)
-	}
+	lanes := n.pumpLanes(sessions)
+	n.fanOut(len(lanes), func(i int) {
+		for _, s := range lanes[i] {
+			n.pumpSession(s)
+		}
+	})
 	n.xmu.Lock()
 	kept := n.xfers[:0]
 	for _, s := range n.xfers {
@@ -282,45 +292,57 @@ func (n *Node) pumpTransfers() {
 	n.xmu.Unlock()
 }
 
-// shipPartition heals a holder that answered StatusRetry on a sync —
-// it has no resident copy to apply onto. The shipped state must
-// contain version ver (the write being acked): a true return is a
-// durability ack for that write, not just "a snapshot landed". Under
-// the one-frame threshold the partition travels as a single KindStore
-// message encoded at call time, which is after the stamp and so always
-// covers ver. Above it a chunked session is driven to completion
-// synchronously — and if the live session for this (partition, target)
-// was frozen before ver was stamped, it is completed and retired first
-// and a second, freshly frozen session carries the write. Callers must
-// not hold n.mu.
+// pumpLanes splits a pump round's sessions into the lanes fanOut runs
+// concurrently; a lane pumps its sessions one after another. A session
+// so small that Fanout of them together fit in one chunk's bytes is a
+// lane of its own. Larger sessions share one lane per target, so the
+// connection to a target never queues more than about one chunk of
+// concurrent payload: frames queued behind a write grow the transport's
+// write buffer, which keeps that capacity once grown. Under Fanout <= 1
+// every session is its own lane, which keeps session order.
+func (n *Node) pumpLanes(sessions []*xferSession) [][]*xferSession {
+	lanes := make([][]*xferSession, 0, len(sessions))
+	shared := make(map[int]int) // target → index of its large sessions' lane
+	for _, s := range sessions {
+		if n.cfg.Fanout > 1 && s.part.Stats().Bytes > maxChunkBytes/n.cfg.Fanout {
+			if i, ok := shared[s.target]; ok {
+				lanes[i] = append(lanes[i], s)
+				continue
+			}
+			shared[s.target] = len(lanes)
+		}
+		lanes = append(lanes, []*xferSession{s})
+	}
+	return lanes
+}
+
+// shipPartition heals a holder that has no resident copy: one that
+// answered StatusRetry on a sync (version ver is the write being acked)
+// or on a quorum read's version probe (ver 0). The shipped state must
+// contain version ver: a true return is a durability ack for that
+// write, not just "a snapshot landed". The session is driven to
+// completion synchronously — and if the live session for this
+// (partition, target) was frozen before ver was stamped, it is
+// completed and retired first and a second, freshly frozen session
+// carries the write. The session is claimed as it is looked up, and
+// one a concurrent pump holds is left to it for a fresh one, so a heal
+// never fails because another pump has the pair's session. Callers
+// must not hold n.mu.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) shipPartition(p, target int, ver uint64) bool {
-	n.mu.RLock()
-	part := n.store.Part(p)
-	n.mu.RUnlock()
-	if snap, ok := n.oneFrameSnapshot(part); ok {
-		resp, err := n.tr.Send(n.peerAddr(target), &transport.Message{
-			Kind: KindStore, Partition: uint32(p), Value: snap,
-		})
-		if err != nil || resp.Status != transport.StatusOK {
-			return false
-		}
-		n.xmu.Lock()
-		n.xstats.OneFrame++
-		n.xstats.BytesSent += int64(len(snap))
-		n.xmu.Unlock()
-		return true
-	}
 	// Round 2 always covers: a session planned now freezes against the
 	// shard's maxVer, which the stamp already advanced past ver. The
 	// coverage check reads the session's maxVer AFTER the pump, because
 	// the plan (and therefore the freeze) happens inside the first pump.
 	for round := 0; round < 2; round++ {
 		n.mu.RLock()
-		sess := n.startTransferLocked(p, target, true)
+		n.xmu.Lock()
+		sess := n.sessionXLocked(p, target, true, false)
+		sess.busy = true
+		n.xmu.Unlock()
 		n.mu.RUnlock()
-		if !n.pumpSession(sess) {
+		if !n.pumpClaimed(sess) {
 			return false
 		}
 		n.xmu.Lock()
@@ -334,7 +356,7 @@ func (n *Node) shipPartition(p, target int, ver uint64) bool {
 }
 
 // TransferPartition synchronously ships partition p to target through
-// a chunked session (opening one if none is live) and reports whether
+// a transfer session (opening one if none is live) and reports whether
 // the session completed. The harness scenarios and the sync-fallback
 // path use it; RunEpoch pumps sessions opportunistically instead.
 // Callers must not hold n.mu.
@@ -352,29 +374,29 @@ func (n *Node) TransferPartition(p, target int) bool {
 // from there, and close with done. Any send failure ends the round —
 // the session stays, the cursor survives on the target, and the next
 // pump resumes. Returns true when the session completed (and was
-// removed). Callers must not hold n.mu or n.xmu.
+// removed); false at once when another pump holds the session or it is
+// no longer live. Callers must not hold n.mu or n.xmu.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) pumpSession(s *xferSession) bool {
 	n.xmu.Lock()
-	if s.busy {
-		n.xmu.Unlock()
-		return false
+	claimed := !s.busy && slices.Contains(n.xfers, s)
+	if claimed {
+		s.busy = true
 	}
-	alive := false
-	for _, live := range n.xfers {
-		if live == s {
-			alive = true
-		}
-	}
-	if !alive {
-		n.xmu.Unlock()
-		return false
-	}
-	s.busy = true
+	n.xmu.Unlock()
+	return claimed && n.pumpClaimed(s)
+}
+
+// pumpClaimed is pumpSession on a session the caller already claimed
+// (set busy under xmu). Callers must not hold n.mu or n.xmu.
+//
+//lint:requires-unlocked n.mu
+func (n *Node) pumpClaimed(s *xferSession) bool {
 	// Work on local copies of the cursor state: the lease ager reads the
 	// session under xmu while a pump is in flight, so the pump must not
 	// scribble on the struct lock-free. Written back at settle.
+	n.xmu.Lock()
 	begun, next, wasInterrupted := s.begun, s.next, s.interrupted
 	planned := s.planned
 	n.xmu.Unlock()
@@ -448,12 +470,22 @@ func (n *Node) pumpSession(s *xferSession) bool {
 	// replies.
 	for step := 0; step < 2*int(total)+4; step++ {
 		if !begun {
+			// A one-chunk plan's begin carries its chunk, and the target
+			// closes the session in the same exchange.
+			var only []durable.Entry
+			if total == 1 {
+				only = s.chunks[0]
+			}
 			resp, err := n.tr.Send(addr, &transport.Message{
 				Kind: KindXferBegin, Partition: uint32(s.p), Session: s.id,
-				Version: s.maxVer, Value: appendXferBegin(nil, total, s.mark),
+				Version: s.maxVer, Value: appendXferBegin(nil, total, s.mark, only),
 			})
 			if err != nil || resp.Status != transport.StatusOK {
 				break
+			}
+			if total == 1 {
+				sent++
+				sentBytes += int64(encodedEntriesLen(only))
 			}
 			begun = true
 			if resp.Cursor == xferComplete {
@@ -580,12 +612,24 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 	if err != nil {
 		return nil, err
 	}
-	total, mark, err := decodeXferBegin(req.Value)
+	total, mark, chunk, err := decodeXferBegin(req.Value)
 	if err != nil {
 		return nil, err
 	}
 	n.mu.RLock()
-	next, err := n.store.Part(p).BeginInbound(req.Session, total, mark, req.Version)
+	part := n.store.Part(p)
+	next, err := part.BeginInbound(req.Session, total, mark, req.Version)
+	if err == nil && total <= 1 && next != xferComplete {
+		// A plan of at most one chunk is the whole session in this
+		// message: apply the carried chunk and close. A replayed begin of
+		// a finished session was answered from the done-list above.
+		if total == 1 {
+			_, _, err = part.ApplyChunk(req.Session, 0, chunk)
+		}
+		if err == nil {
+			next, _, _, err = part.FinishInbound(req.Session)
+		}
+	}
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -601,7 +645,7 @@ func (n *Node) handleXferChunk(req *transport.Message) (*transport.Message, erro
 	if req.Cursor > 1<<32-1 {
 		return nil, fmt.Errorf("node %d: transfer chunk index %d overflows uint32", n.cfg.ID, req.Cursor)
 	}
-	entries, err := decodeSnapshot(req.Value)
+	entries, err := decodeEntries(req.Value)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,11 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/transport"
 )
 
 // transferTestConfig forces every entry into its own chunk so even the
@@ -12,7 +14,6 @@ import (
 func transferTestConfig() Config {
 	cfg := testConfig()
 	cfg.TransferChunkEntries = 1
-	cfg.SnapshotOneFrameBytes = 1
 	return cfg
 }
 
@@ -260,5 +261,132 @@ func TestTransferLeaseExpiryFreesHold(t *testing.T) {
 	src.xmu.Unlock()
 	if live != 0 {
 		t.Errorf("%d sessions still tracked after expiry", live)
+	}
+}
+
+// TestOneChunkShipIsTwoRequests pins what a small ship costs: a plan of
+// one chunk is exactly two request frames — the planning probe, then a
+// begin that carries the chunk and that the target completes at once —
+// while a three-chunk plan still runs probe, begin, three chunks and
+// done.
+func TestOneChunkShipIsTwoRequests(t *testing.T) {
+	cases := []struct {
+		chunkEntries int
+		chunks       int64
+		want         []uint8
+	}{
+		{256, 1, []uint8{KindXferCursor, KindXferBegin}},
+		{1, 3, []uint8{KindXferCursor, KindXferBegin, KindXferChunk, KindXferChunk, KindXferChunk, KindXferDone}},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.TransferChunkEntries = tc.chunkEntries
+		var sent []uint8
+		f, err := NewFleetWrapped(3, cfg, func(i int, tr transport.Transport) transport.Transport {
+			return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
+				if i == 0 {
+					sent = append(sent, m.Kind)
+				}
+				return transport.FaultDeliver
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; f.Close owns shutdown
+		src, dst := f.Node(0), f.Node(1)
+		const p = 0
+		entries := seedPartition(t, src, p, 3)
+		dst.store.Part(p).Drop()
+
+		sent = nil
+		if !src.TransferPartition(p, 1) {
+			t.Fatalf("%d entries per chunk: transfer did not complete", tc.chunkEntries)
+		}
+		if !slices.Equal(sent, tc.want) {
+			t.Errorf("%d entries per chunk: request kinds %v, want %v", tc.chunkEntries, sent, tc.want)
+		}
+		for _, e := range entries {
+			if v, ver, ok, _ := dst.store.Part(p).Get(e.Key); !ok || string(v) != string(e.Val) || ver != e.Ver {
+				t.Errorf("%d entries per chunk: key %q = (%q, %d, %v) at the target", tc.chunkEntries, e.Key, v, ver, ok)
+			}
+		}
+		if !dst.store.Part(p).Stats().Resident {
+			t.Errorf("%d entries per chunk: target not resident after a full ship", tc.chunkEntries)
+		}
+		if st := src.TransferStats(); st.Completed != 1 || st.ChunksSent != tc.chunks {
+			t.Errorf("%d entries per chunk: stats %+v, want 1 completed and %d chunks", tc.chunkEntries, st, tc.chunks)
+		}
+		f.Close()
+	}
+}
+
+// TestPumpLanesSerializeLargeSessionsPerTarget pins how a pump round
+// is split for fanOut: a session small enough that Fanout of them fit
+// in one chunk runs in a lane of its own, larger sessions to one target
+// share a lane, and under Fanout <= 1 every session keeps its own lane
+// in session order.
+func TestPumpLanesSerializeLargeSessionsPerTarget(t *testing.T) {
+	for _, fanout := range []int{8, 1} {
+		cfg := testConfig()
+		cfg.Fanout = fanout
+		h := newHarness(t, "loopback", 3, cfg)
+		nd := h.nodes[0]
+		big := make([]byte, maxChunkBytes/8)
+		for _, p := range []int{1, 2} {
+			if err := nd.store.Part(p).MergeSnapshot([]durable.Entry{{Key: fmt.Sprintf("big-%d", p), Ver: 1, Val: big}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seedPartition(t, nd, 0, 2)
+		nd.mu.RLock()
+		bigTo1 := nd.startTransferLocked(1, 1, true)
+		small := nd.startTransferLocked(0, 1, true)
+		bigTo2 := nd.startTransferLocked(1, 2, true)
+		big2To1 := nd.startTransferLocked(2, 1, true)
+		nd.mu.RUnlock()
+
+		want := [][]*xferSession{{bigTo1, big2To1}, {small}, {bigTo2}}
+		if fanout <= 1 {
+			want = [][]*xferSession{{bigTo1}, {small}, {bigTo2}, {big2To1}}
+		}
+		got := nd.pumpLanes([]*xferSession{bigTo1, small, bigTo2, big2To1})
+		if len(got) != len(want) {
+			t.Fatalf("fanout %d: %d lanes, want %d", fanout, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("fanout %d: lane %d has %d sessions, want %d in order", fanout, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}
+
+// TestShipPartitionBypassesBusySession: the StatusRetry heal must not
+// fail because another pump holds the live session for the same
+// (partition, target) — on a live fleet that is the epoch's decision
+// ship to a new holder, pumped while puts already sync it. The heal
+// opens its own session and lands the write.
+func TestShipPartitionBypassesBusySession(t *testing.T) {
+	h := newHarness(t, "loopback", 3, transferTestConfig())
+	src, dst := h.nodes[0], h.nodes[1]
+	const p = 2
+	entries := seedPartition(t, src, p, 3)
+	dst.store.Part(p).Drop()
+	src.mu.RLock()
+	held := src.startTransferLocked(p, 1, true)
+	src.mu.RUnlock()
+	src.xmu.Lock()
+	held.busy = true // a concurrent pump has it
+	src.xmu.Unlock()
+
+	if !src.shipPartition(p, 1, entries[len(entries)-1].Ver) {
+		t.Fatal("heal failed while another pump held the pair's session")
+	}
+	if !dst.store.Part(p).Stats().Resident {
+		t.Error("target not resident after the heal")
+	}
+	if st := src.TransferStats(); st.Started != 2 || st.Completed != 1 {
+		t.Errorf("stats %+v, want the held session and the heal's own, the heal's completed", st)
 	}
 }

@@ -35,12 +35,14 @@ const (
 	// to, see KindPut). A StatusOK reply means the holder
 	// durably applied (or already had) that version and counts toward
 	// the write quorum; StatusRetry means the holder is not resident and
-	// needs a full snapshot first. Quorum reads also reuse it to push
-	// the winning version to stale holders (read-repair).
+	// needs a partition ship (a transfer session) first. Quorum reads
+	// also reuse it to push the winning version to stale holders
+	// (read-repair).
 	KindSync uint8 = 3
-	// KindStore transfers a whole partition snapshot to a new replica
-	// holder (replication and migration both ship data this way).
-	KindStore uint8 = 4
+
+	// Kind 4 is retired: it shipped a small partition in one frame,
+	// which a one-chunk transfer session (KindXferBegin) now does.
+
 	// KindDrop tells a holder to discard its copy of a partition
 	// (migration victim, suicide).
 	KindDrop uint8 = 5
@@ -57,15 +59,18 @@ const (
 	// holder is not resident and has no authoritative answer.
 	KindVer uint8 = 8
 
-	// KindXferBegin opens (or re-opens) a chunked transfer session.
-	// Session carries the session id, Version the source partition's
-	// version watermark, Value the begin blob (total chunks + whether
-	// completion marks the target resident). The StatusOK reply's Cursor
-	// is the next chunk the target wants — 0 for a fresh session, higher
-	// when the target recovered a resume cursor, xferComplete when the
-	// session already finished (replayed begin). The delta plan was
-	// already built from the cursor probe's reply, so the begin reply
-	// carries nothing else.
+	// KindXferBegin opens (or re-opens) a transfer session — every
+	// partition ship is one. Session carries the session id, Version the
+	// source partition's version watermark, Value the begin blob (total
+	// chunks + whether completion marks the target resident, then the
+	// only chunk of a one-chunk plan). A plan of at most one chunk is a
+	// whole session in this one message: the target begins, applies the
+	// carried chunk and closes, and answers xferComplete. Otherwise the
+	// StatusOK reply's Cursor is the next chunk the target wants — 0 for
+	// a fresh session, higher when the target recovered a resume cursor,
+	// xferComplete when the session already finished (replayed begin).
+	// The delta plan was already built from the cursor probe's reply, so
+	// the begin reply carries nothing else.
 	KindXferBegin uint8 = 9
 	// KindXferChunk carries one chunk of entries: Cursor is the chunk
 	// index, Value the entry block. The reply echoes the next wanted
@@ -127,7 +132,6 @@ var KindNames = map[uint8]string{
 	KindGet:        "get",
 	KindPut:        "put",
 	KindSync:       "sync",
-	KindStore:      "store",
 	KindDrop:       "drop",
 	KindStats:      "stats",
 	KindPing:       "ping",
@@ -322,11 +326,11 @@ func (r *uvarintReader) readAEDigest() (leaves []uint64, root uint64) {
 	return leaves, root
 }
 
-// appendEntries encodes an entry block (a whole snapshot or one
-// transfer chunk). decodeSnapshot is the inverse. The buffer is sized
-// once up front: grown by doubling from nil, a 12 KB snapshot allocates
-// four times its size on the way, and a replica-movement epoch encodes
-// every partition it ships.
+// appendEntries encodes an entry block (one transfer chunk, or an
+// anti-entropy payload). decodeEntries is the inverse. The buffer is
+// sized once up front: grown by doubling from nil, a 12 KB chunk
+// allocates four times its size on the way, and a replica-movement
+// epoch encodes every partition it ships.
 func appendEntries(dst []byte, entries []durable.Entry) []byte {
 	dst = slices.Grow(dst, encodedEntriesLen(entries))
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
@@ -364,36 +368,51 @@ func uvarintLen(v uint64) int {
 }
 
 // appendXferBegin encodes a KindXferBegin payload: the session's total
-// chunk count and whether completion marks the target resident.
-func appendXferBegin(dst []byte, total uint32, markResident bool) []byte {
+// chunk count, whether completion marks the target resident, and — in
+// a one-chunk plan only — that chunk's entry block.
+func appendXferBegin(dst []byte, total uint32, markResident bool, chunk []durable.Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(total))
+	flag := byte(0)
 	if markResident {
-		return append(dst, 1)
+		flag = 1
 	}
-	return append(dst, 0)
+	dst = append(dst, flag)
+	if total == 1 {
+		dst = appendEntries(dst, chunk)
+	}
+	return dst
 }
 
-// decodeXferBegin parses a KindXferBegin payload.
-func decodeXferBegin(buf []byte) (total uint32, markResident bool, err error) {
+// decodeXferBegin parses a KindXferBegin payload. chunk is the carried
+// entry block of a one-chunk plan, nil for any other total.
+func decodeXferBegin(buf []byte) (total uint32, markResident bool, chunk []durable.Entry, err error) {
 	r := &uvarintReader{buf: buf}
 	t := r.next()
 	if r.err != nil {
-		return 0, false, r.err
+		return 0, false, nil, r.err
 	}
 	if t > 1<<32-1 {
-		return 0, false, fmt.Errorf("node: transfer chunk count %d overflows uint32", t)
+		return 0, false, nil, fmt.Errorf("node: transfer chunk count %d overflows uint32", t)
 	}
-	if len(r.buf) != 1 {
-		return 0, false, fmt.Errorf("node: transfer begin blob has %d bytes after count, want 1", len(r.buf))
+	if len(r.buf) == 0 {
+		return 0, false, nil, fmt.Errorf("node: transfer begin blob has no flag byte")
 	}
-	return uint32(t), r.buf[0] == 1, nil
+	rest := r.buf[1:]
+	if t == 1 {
+		if chunk, err = decodeEntries(rest); err != nil {
+			return 0, false, nil, err
+		}
+	} else if len(rest) != 0 {
+		return 0, false, nil, fmt.Errorf("node: %d trailing bytes after a %d-chunk transfer begin", len(rest), t)
+	}
+	return uint32(t), r.buf[0] == 1, chunk, nil
 }
 
-// decodeSnapshot parses a KindStore payload into a key-ordered entry
-// slice. A slice (not a map) so callers can merge it with a plain
+// decodeEntries parses an entry block into a key-ordered entry slice.
+// A slice (not a map) so callers can merge it with a plain
 // deterministic loop — map iteration order is banned by the
 // determinism lint.
-func decodeSnapshot(buf []byte) ([]durable.Entry, error) {
+func decodeEntries(buf []byte) ([]durable.Entry, error) {
 	r := &uvarintReader{buf: buf}
 	n := r.nextInt(len(buf)) // an entry costs ≥3 bytes, so len(buf) bounds the count
 	entries := make([]durable.Entry, 0, n)
@@ -406,7 +425,7 @@ func decodeSnapshot(buf []byte) ([]durable.Entry, error) {
 			break
 		}
 		if kl > len(r.buf) {
-			return nil, fmt.Errorf("node: snapshot key truncated (%d bytes declared, %d left)", kl, len(r.buf))
+			return nil, fmt.Errorf("node: entry key truncated (%d bytes declared, %d left)", kl, len(r.buf))
 		}
 		k := string(r.buf[:kl])
 		r.buf = r.buf[kl:]
@@ -416,7 +435,7 @@ func decodeSnapshot(buf []byte) ([]durable.Entry, error) {
 			break
 		}
 		if vl > len(r.buf) {
-			return nil, fmt.Errorf("node: snapshot value truncated (%d bytes declared, %d left)", vl, len(r.buf))
+			return nil, fmt.Errorf("node: entry value truncated (%d bytes declared, %d left)", vl, len(r.buf))
 		}
 		v := make([]byte, vl)
 		copy(v, r.buf[:vl])
@@ -427,7 +446,7 @@ func decodeSnapshot(buf []byte) ([]durable.Entry, error) {
 		return nil, r.err
 	}
 	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("node: %d trailing bytes after snapshot", len(r.buf))
+		return nil, fmt.Errorf("node: %d trailing bytes after entry block", len(r.buf))
 	}
 	return entries, nil
 }

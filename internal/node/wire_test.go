@@ -62,9 +62,9 @@ func TestDecodeStatsRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// encodeSnapshot is the one-frame ship's encoding path in miniature:
-// the entries go through a memory-mode partition in the given order
-// and come back in its canonical ascending-key order.
+// encodeSnapshot is a full ship's encoding path in miniature: the
+// entries go through a memory-mode partition in the given order and
+// come back in its canonical ascending-key order, as one entry block.
 func encodeSnapshot(t *testing.T, entries ...durable.Entry) []byte {
 	t.Helper()
 	eng, err := durable.Open(durable.Options{Partitions: 1})
@@ -85,7 +85,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Key: "alpha", Val: []byte("1"), Ver: 7},
 		{Key: "beta", Val: []byte{}, Ver: 0},
 	}
-	out, err := decodeSnapshot(encodeSnapshot(t, in...))
+	out, err := decodeEntries(encodeSnapshot(t, in...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDecodeSnapshotRejectsCorrupt(t *testing.T) {
 		"bomb":      {0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 	}
 	for name, buf := range cases {
-		if _, err := decodeSnapshot(buf); err == nil {
+		if _, err := decodeEntries(buf); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 		}
 	}
@@ -175,35 +175,53 @@ func TestDecodeAckSetCountBoundedByInput(t *testing.T) {
 	}
 }
 
+// TestXferBeginRoundTrip covers the multi-chunk begin (a bare header)
+// and the one-chunk begin, which carries its chunk.
 func TestXferBeginRoundTrip(t *testing.T) {
+	chunk := []durable.Entry{
+		{Key: "alpha", Val: []byte("1"), Ver: 7},
+		{Key: "gamma", Val: bytes.Repeat([]byte("x"), 300), Ver: 9<<20 | 3},
+	}
 	cases := []struct {
 		total uint32
 		mark  bool
+		chunk []durable.Entry
 	}{
-		{0, false}, {0, true}, {1, false}, {17, true}, {1<<32 - 1, true},
+		{0, false, nil}, {0, true, nil}, {1, false, chunk}, {1, true, chunk[:1]},
+		{17, true, nil}, {1<<32 - 1, true, nil},
 	}
 	for _, c := range cases {
-		enc := appendXferBegin(nil, c.total, c.mark)
-		total, mark, err := decodeXferBegin(enc)
+		enc := appendXferBegin(nil, c.total, c.mark, c.chunk)
+		total, mark, got, err := decodeXferBegin(enc)
 		if err != nil {
 			t.Fatalf("(%d, %v): %v", c.total, c.mark, err)
 		}
-		if total != c.total || mark != c.mark {
-			t.Fatalf("(%d, %v) round-tripped to (%d, %v)", c.total, c.mark, total, mark)
+		if total != c.total || mark != c.mark || len(got) != len(c.chunk) {
+			t.Fatalf("(%d, %v, %d entries) round-tripped to (%d, %v, %d entries)",
+				c.total, c.mark, len(c.chunk), total, mark, len(got))
+		}
+		for i, e := range got {
+			if want := c.chunk[i]; e.Key != want.Key || e.Ver != want.Ver || !bytes.Equal(e.Val, want.Val) {
+				t.Fatalf("(%d, %v): entry %d = %+v, want %+v", c.total, c.mark, i, e, want)
+			}
 		}
 	}
 }
 
 func TestDecodeXferBeginRejectsCorrupt(t *testing.T) {
-	good := appendXferBegin(nil, 17, true)
+	good := appendXferBegin(nil, 17, true, nil)
+	one := appendXferBegin(nil, 1, true, []durable.Entry{{Key: "k", Val: []byte("v"), Ver: 3}})
 	cases := map[string][]byte{
-		"empty":           good[:0],
-		"missing flag":    good[:len(good)-1],
-		"trailing":        append(append([]byte{}, good...), 0),
-		"count overflows": binary.AppendUvarint(nil, 1<<32), // and no flag byte either
+		"empty":             good[:0],
+		"missing flag":      good[:len(good)-1],
+		"trailing":          append(append([]byte{}, good...), 0),
+		"count overflows":   binary.AppendUvarint(nil, 1<<32), // and no flag byte either
+		"one-chunk no body": one[:2],
+		"one-chunk cut":     one[:len(one)-1],
+		"one-chunk tail":    append(append([]byte{}, one...), 0),
 	}
 	for name, buf := range cases {
-		if _, _, err := decodeXferBegin(buf); err == nil {
+		if _, _, _, err := decodeXferBegin(buf); err == nil {
 			t.Errorf("%s: corrupt transfer begin accepted", name)
 		}
 	}
