@@ -2,11 +2,11 @@
 // gives profilers a loaded cluster to sample.
 //
 // The repair suite (default) prices delta replication end to end:
-// bytes on the wire for a full re-migration against a watermark-planned
-// delta session at three divergence levels (real transfer sessions over
-// a tapped loopback fleet), and a flat digest+diff anti-entropy repair
-// against the hierarchical sub-digest/keylist/fetch walk — the source
-// of BENCH_repair.json. The stress suite is a pprof-friendly hammer: a
+// bytes on the wire for a full re-migration against a planned delta
+// session at three divergence levels, onto a revoked copy, and from a
+// stale rejoiner (real transfer sessions over a tapped loopback fleet),
+// and a flat digest+diff anti-entropy repair against the hierarchical
+// sub-digest/keylist/fetch walk — the source of BENCH_repair.json. The stress suite is a pprof-friendly hammer: a
 // 3-node TCP fleet under concurrent put/get load with epochs ticking
 // underneath, meant to be run with -cpuprofile. The live data plane's
 // per-layer costs (codec, TCP hop, AE tree update) are the benchmark/
@@ -106,8 +106,12 @@ type repairReport struct {
 // runRepairSuite measures replication bytes against divergence — the
 // delta-replication claim in one table. Three re-migration rows (10%,
 // 1% and 0.1% divergence on a 10k-key partition, real sessions on a
-// tapped loopback wire) plus two anti-entropy rows (single-key and
-// 1%-stale repair, flat vs hierarchical from the real encoders). The
+// tapped loopback wire), two anti-entropy rows (single-key and
+// 1%-stale repair, flat vs hierarchical from the real encoders), and
+// two rows where the target's copy is not the source's past: a
+// re-replication onto a revoked copy missing 100 overwritten keys, and
+// a re-injection from a source 100 keys staler than the holder (real
+// sessions, offer round included, against a full snapshot). The
 // bandwidth ratios are key-count arithmetic, not timing, so the rows
 // are stable enough to commit.
 func runRepairSuite() ([]node.RepairCost, error) {
@@ -122,6 +126,13 @@ func runRepairSuite() ([]node.RepairCost, error) {
 	}
 	results = append(results, node.MeasureAERepair(keys, 1))
 	results = append(results, node.MeasureAERepair(keys, 100))
+	for _, measure := range []func(int, int) (node.RepairCost, error){node.MeasureRevokedRepair, node.MeasureReinjectRepair} {
+		res, err := measure(keys, 100)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, res)
+	}
 	return results, nil
 }
 

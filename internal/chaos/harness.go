@@ -515,7 +515,7 @@ func (h *harness) deciderFor(i int) transport.FaultFunc {
 func delayable(kind uint8) bool {
 	switch kind {
 	case node.KindSync, node.KindDrop, node.KindStats,
-		node.KindXferBegin, node.KindXferChunk, node.KindXferCursor, node.KindXferDone,
+		node.KindXferBegin, node.KindXferChunk, node.KindXferCursor, node.KindXferDone, node.KindXferOffer,
 		node.KindAEDigest, node.KindAERepair, node.KindAEFetch:
 		return true
 	default:

@@ -22,11 +22,11 @@ func realFiles(f *testing.F, pattern string) [][]byte {
 		chunk := []Entry{{Key: "c", Ver: 3, Val: []byte("chunk")}}
 		_, err := pt.StampPut("a", []byte("va"), 7<<20)
 		steps := []error{err, pt.MergeSnapshot(chunk)}
-		_, err = pt.BeginInbound(9, 2, true, 40)
+		_, _, err = pt.BeginInbound(9, 2, true, 40, false)
 		steps = append(steps, err)
 		_, _, err = pt.ApplyChunk(9, 0, chunk)
 		steps = append(steps, err, e.Compact(p))
-		_, err = pt.BeginInbound(10, 0, false, 0)
+		_, _, err = pt.BeginInbound(10, 0, false, 0, false)
 		steps = append(steps, err)
 		_, _, _, err = pt.FinishInbound(10)
 		steps = append(steps, err, pt.Revoke())

@@ -219,7 +219,7 @@ func TestModelEquivalence(t *testing.T) {
 				case 5:
 					got[j] = fmt.Sprint(pt.MergeResident(chunk))
 				case 6:
-					got[j] = fmt.Sprint(pt.BeginInbound(sid, uint32(1+sid%2), sid%3 == 0, ver))
+					got[j] = fmt.Sprint(pt.BeginInbound(sid, uint32(1+sid%2), sid%3 == 0, ver, false))
 				case 7, 8:
 					got[j] = fmt.Sprint(pt.ApplyChunk(sid, idx, chunk))
 				case 9:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -67,6 +68,10 @@ const maxSessions = 4
 // transfer-begins idempotent.
 const maxDone = 8
 
+// maxProbes bounds the probed-session-id memory that fences delta
+// begins (see Probe); the oldest id is evicted first.
+const maxProbes = 8
+
 // Partition is one partition's state machine. A partition exists for
 // every partition id whether or not the node currently holds a replica
 // — holding is a property of the view, and an empty map costs nothing.
@@ -117,9 +122,12 @@ type Partition struct {
 	// holds counts outbound transfer sessions freezing this partition
 	// (the lease that keeps compaction from rewriting the WAL+snapshot
 	// pair underneath them); pending remembers that the threshold
-	// tripped while held. Process-local: not part of the logged state.
+	// tripped while held. probes lists the session ids whose Probe
+	// described the current content and that have not begun yet.
+	// Process-local: not part of the logged state.
 	holds   int
 	pending bool
+	probes  []uint64
 
 	wal         *os.File // nil in memory mode and after Close
 	walRecords  int
@@ -169,14 +177,15 @@ func (pt *Partition) apply(r *record) {
 		}
 	case opDrop, opReset:
 		// maxVer is kept (re-adoption must never re-issue versions).
-		// Sessions and the done-list die with the data: the chunks a live
-		// session merged are gone, so a cursor resuming past them would
-		// complete an authoritative partial copy.
+		// Sessions, the done-list and the probes die with the data: the
+		// chunks a live session merged are gone, so a cursor resuming past
+		// them would complete an authoritative partial copy, and a delta
+		// planned against the old content would too.
 		pt.data = make(map[string]value)
 		pt.bytes = 0
 		pt.tree = AETree{}
 		pt.resident = r.op == opReset
-		pt.sessions, pt.done = nil, nil
+		pt.sessions, pt.done, pt.probes = nil, nil, nil
 	case opResident:
 		pt.resident = true
 	case opRevoke:
@@ -460,27 +469,39 @@ func (pt *Partition) Revoke() error {
 // cursor for a known one, CursorComplete for a replayed begin of a
 // finished session. srcMaxVer folds the source's version watermark in
 // up front so watermark-only state transfers even if every chunk loses
-// the version race.
-func (pt *Partition) BeginInbound(sid uint64, total uint32, markResident bool, srcMaxVer uint64) (next uint64, err error) {
+// the version race. A delta session — one planned against the content
+// Probe(sid) reported, shipping only what that content lacked — opens
+// only while that content is still here: after a drop, reset or
+// restart since the probe, known=false sends the source back to probe
+// and plan again, and nothing is touched.
+func (pt *Partition) BeginInbound(sid uint64, total uint32, markResident bool, srcMaxVer uint64, delta bool) (next uint64, known bool, err error) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if pt.isDone(sid) {
-		return CursorComplete, nil
+		return CursorComplete, true, nil
+	}
+	i := pt.session(sid)
+	probed := slices.Index(pt.probes, sid)
+	if i < 0 && delta && probed < 0 {
+		return 0, false, nil
 	}
 	if srcMaxVer > pt.maxVer {
 		if err := pt.commit(&record{op: opMaxVer, ver: srcMaxVer}); err != nil {
-			return 0, err
+			return 0, true, err
 		}
 	}
-	if i := pt.session(sid); i >= 0 {
-		return uint64(pt.sessions[i].Next), nil
+	if i >= 0 {
+		return uint64(pt.sessions[i].Next), true, nil
+	}
+	if probed >= 0 {
+		pt.probes = slices.Delete(pt.probes, probed, probed+1)
 	}
 	sess := Session{ID: sid, Total: total, MarkResident: markResident}
-	return 0, pt.commit(&record{op: opCursor, sess: sess})
+	return 0, true, pt.commit(&record{op: opCursor, sess: sess})
 }
 
 // ApplyChunk applies one transfer chunk. known=false means the session
-// is not (or no longer) tracked and the source must re-begin. A chunk
+// is not (or no longer) tracked and the source must plan again. A chunk
 // that is not the exact next one is acked without applying — the
 // cursor only moves forward, so duplicated or reordered chunks are
 // no-ops and repeated invocation converges monotonically. The advanced
@@ -512,7 +533,7 @@ func (pt *Partition) ApplyChunk(sid uint64, idx uint32, entries []Entry) (next u
 
 // FinishInbound closes an inbound session. complete=false (with the
 // cursor) means chunks are still missing; known=false means the
-// session is untracked and the source must re-begin. Completion
+// session is untracked and the source must plan again. Completion
 // applies the session's residency side effect and retires the id so a
 // replayed done (or begin) is idempotent, across restarts too.
 func (pt *Partition) FinishInbound(sid uint64) (next uint64, known, complete bool, err error) {
@@ -614,38 +635,79 @@ func (pt *Partition) Lookup(keys []string) []Entry {
 // seam where a paged (larger-than-RAM) store would stream from the
 // snapshot+WAL pair instead. Callers hold pt.mu.
 func (pt *Partition) sortedEntries() []Entry {
-	keys := make([]string, 0, len(pt.data))
-	for k := range pt.data {
-		keys = append(keys, k)
+	out := make([]Entry, 0, len(pt.data))
+	for k, v := range pt.data {
+		out = append(out, Entry{Key: k, Ver: v.ver, Val: v.val})
 	}
-	slices.Sort(keys)
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		v := pt.data[k]
-		out[i] = Entry{Key: k, Ver: v.ver, Val: v.val}
-	}
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
+func compareKeys(a, b Entry) int { return strings.Compare(a.Key, b.Key) }
+
 // Entries freezes the whole partition plus its version watermark — the
-// source state an outbound transfer session chunks from.
+// source state an outbound transfer session chunks from. Only the copy
+// runs under the lock; the sort runs after it is released, so the
+// partition's reads and writes never wait behind it.
 func (pt *Partition) Entries() ([]Entry, uint64) {
 	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.sortedEntries(), pt.maxVer
+	out := make([]Entry, 0, len(pt.data))
+	for k, v := range pt.data {
+		out = append(out, Entry{Key: k, Ver: v.ver, Val: v.val})
+	}
+	maxVer := pt.maxVer
+	pt.mu.Unlock()
+	slices.SortFunc(out, compareKeys)
+	return out, maxVer
 }
 
-// Digest answers a delta-planning or anti-entropy probe in O(1): the
-// version watermark, residency, and — for resident partitions only —
-// the live top digest. Non-resident content is not authoritative (a
-// partial tree would compare garbage), so no digest is offered.
-func (pt *Partition) Digest() (maxVer uint64, resident bool, leaves []uint64, root uint64) {
+// Probe answers a transfer session's planning probe: the version
+// watermark and the top digest of what the partition physically holds,
+// resident or not (nil leaves: it holds nothing). It also records sid,
+// so a delta planned from this answer can begin only while the content
+// it describes is still here (see BeginInbound).
+func (pt *Partition) Probe(sid uint64) (maxVer uint64, leaves []uint64, root uint64) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if !slices.Contains(pt.probes, sid) {
+		pt.probes = append(pt.probes, sid)
+		if len(pt.probes) > maxProbes {
+			pt.probes = pt.probes[len(pt.probes)-maxProbes:]
+		}
+	}
+	if len(pt.data) == 0 {
+		return pt.maxVer, nil, 0
+	}
+	return pt.maxVer, pt.tree.Leaves(), pt.tree.Root()
+}
+
+// Wants answers a transfer session's offer of (key, version) pairs
+// (values unset): the ascending indexes of the offered entries this
+// partition lacks or holds at a lower version.
+func (pt *Partition) Wants(offer []Entry) []int {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	var want []int
+	for i, e := range offer {
+		if cur, ok := pt.data[e.Key]; !ok || cur.ver < e.Ver {
+			want = append(want, i)
+		}
+	}
+	return want
+}
+
+// Digest answers an anti-entropy comparison in O(1): residency and —
+// for resident partitions only — the live top digest. Non-resident
+// content is not authoritative (a partial tree would repair divergence
+// into existence), so no digest is offered; transfer planning reads the
+// physical digest through Probe instead.
+func (pt *Partition) Digest() (resident bool, leaves []uint64, root uint64) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if !pt.resident {
-		return pt.maxVer, false, nil, 0
+		return false, nil, 0
 	}
-	return pt.maxVer, true, pt.tree.Leaves(), pt.tree.Root()
+	return true, pt.tree.Leaves(), pt.tree.Root()
 }
 
 // SubLeaves reads the live sub-leaf vectors for a set of top-level

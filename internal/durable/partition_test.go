@@ -24,7 +24,7 @@ func TestInboundSessionIdempotence(t *testing.T) {
 	chunk0 := []Entry{{Key: "a", Val: []byte("1"), Ver: 5}}
 	chunk1 := []Entry{{Key: "b", Val: []byte("2"), Ver: 6}}
 
-	if next, err := pt.BeginInbound(sid, 2, true, 9); err != nil || next != 0 {
+	if next, _, err := pt.BeginInbound(sid, 2, true, 9, false); err != nil || next != 0 {
 		t.Fatalf("fresh begin: next=%d err=%v", next, err)
 	}
 	if v := pt.State().MaxVer; v != 9 {
@@ -35,7 +35,7 @@ func TestInboundSessionIdempotence(t *testing.T) {
 	}
 	// Replayed begin: the session exists, so the reply is its cursor,
 	// not a reset to 0.
-	if next, err := pt.BeginInbound(sid, 2, true, 9); err != nil || next != 1 {
+	if next, _, err := pt.BeginInbound(sid, 2, true, 9, false); err != nil || next != 1 {
 		t.Fatalf("replayed begin: next=%d err=%v, want cursor 1", next, err)
 	}
 	// Duplicate chunk 0: acked with the current cursor, nothing moves.
@@ -54,7 +54,7 @@ func TestInboundSessionIdempotence(t *testing.T) {
 	}
 	// Post-completion replays: begin, chunk and done all answer
 	// "already complete".
-	if next, err := pt.BeginInbound(sid, 2, true, 9); err != nil || next != CursorComplete {
+	if next, _, err := pt.BeginInbound(sid, 2, true, 9, false); err != nil || next != CursorComplete {
 		t.Fatalf("begin after completion: next=%d err=%v", next, err)
 	}
 	if next, known, err := pt.ApplyChunk(sid, 0, chunk0); err != nil || !known || next != CursorComplete {
@@ -87,7 +87,7 @@ func TestDropInvalidatesInboundSessions(t *testing.T) {
 
 	// A mid-flight session: begun, one of two chunks merged.
 	const live = uint64(7)
-	if next, err := pt.BeginInbound(live, 2, true, 0); err != nil || next != 0 {
+	if next, _, err := pt.BeginInbound(live, 2, true, 0, false); err != nil || next != 0 {
 		t.Fatalf("begin: next=%d err=%v", next, err)
 	}
 	if _, known, err := pt.ApplyChunk(live, 0, chunk); err != nil || !known {
@@ -95,7 +95,7 @@ func TestDropInvalidatesInboundSessions(t *testing.T) {
 	}
 	// A session completed and retired to the done-list before the drop.
 	const finished = uint64(8)
-	if _, err := pt.BeginInbound(finished, 1, false, 0); err != nil {
+	if _, _, err := pt.BeginInbound(finished, 1, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := pt.ApplyChunk(finished, 0, chunk); err != nil {
@@ -116,13 +116,13 @@ func TestDropInvalidatesInboundSessions(t *testing.T) {
 	if _, known := pt.InboundCursor(live); known {
 		t.Error("post-drop cursor probe still found the session")
 	}
-	if next, err := pt.BeginInbound(live, 2, true, 0); err != nil || next != 0 {
+	if next, _, err := pt.BeginInbound(live, 2, true, 0, false); err != nil || next != 0 {
 		t.Fatalf("re-begin after drop: next=%d err=%v, want cursor 0", next, err)
 	}
 	// The done-list cleared too: a replayed begin of the pre-drop
 	// completed session re-runs it instead of answering "complete" over
 	// an emptied partition.
-	if next, err := pt.BeginInbound(finished, 1, false, 0); err != nil || next != 0 {
+	if next, _, err := pt.BeginInbound(finished, 1, false, 0, false); err != nil || next != 0 {
 		t.Fatalf("replayed begin of pre-drop session: next=%d err=%v, want cursor 0", next, err)
 	}
 

@@ -70,7 +70,8 @@ type AEStats struct {
 	// to the primary.
 	Synced int64 `json:"synced"`
 	// Repairs counts value-bearing repair payloads this node shipped:
-	// fetch replies served as primary plus backflow pushes as holder.
+	// fetch replies served as primary plus backflow pushes as holder
+	// that the primary accepted.
 	Repairs int64 `json:"repairs"`
 	// Healed counts entries merged INTO this node by anti-entropy —
 	// holder-side fetches plus primary-side backflow from holders.
@@ -119,7 +120,7 @@ func (n *Node) aeDigestsLocked() []aePartitionDigest {
 		}
 		// The store maintains the digest incrementally, so publishing
 		// costs O(1) per partition — no rehash on the epoch path.
-		_, resident, leaves, root := n.store.Part(p).Digest()
+		resident, leaves, root := n.store.Part(p).Digest()
 		if !resident {
 			continue
 		}
@@ -178,7 +179,7 @@ func (n *Node) aePullPlansLocked() []aePull {
 //lint:requires-unlocked n.mu
 func (n *Node) runAEPulls(pulls []aePull) {
 	for _, pl := range pulls {
-		_, resident, mine, root := pl.part.Digest()
+		resident, mine, root := pl.part.Digest()
 		if !resident {
 			continue // residency was lost between planning and here
 		}
@@ -274,15 +275,15 @@ func (n *Node) runAEPulls(pulls []aePull) {
 		if len(push) > 0 {
 			buf := appendEntries(nil, push)
 			n.aePayloadN.Add(int64(len(buf)))
-			n.aeRepairsN.Add(1)
-			if _, err := n.tr.Send(n.peerAddr(pl.primary), &transport.Message{
+			resp, err := n.tr.Send(n.peerAddr(pl.primary), &transport.Message{
 				Kind:      KindAERepair,
 				Partition: uint32(pl.p),
 				Epoch:     pl.epoch,
 				Origin:    uint32(n.self),
 				Value:     buf,
-			}); err != nil {
-				continue // the primary stays divergent until the next round
+			})
+			if err == nil && resp.Status == transport.StatusOK {
+				n.aeRepairsN.Add(1) // a lost or refused push stays divergent until the next round
 			}
 		}
 	}

@@ -233,3 +233,72 @@ func TestAEDigestRefusedByNonResident(t *testing.T) {
 		t.Fatalf("non-resident holder applied a repair (status %d), want StatusRetry", resp.Status)
 	}
 }
+
+// TestAERepairCountsOnlyAcceptedPushes: a holder's backflow push that
+// never reaches the primary is not a repair. With KindAERepair dropped
+// on the wire the holder's Repairs counter stays put; once the push
+// gets through, it counts.
+func TestAERepairCountsOnlyAcceptedPushes(t *testing.T) {
+	cfg := quorumConfig(2, 2)
+	cfg.AEInterval = 2
+	dropRepairs, dropped := true, 0
+	wrap := func(i int, tr transport.Transport) transport.Transport {
+		return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
+			if m.Kind == KindAERepair && dropRepairs {
+				dropped++
+				return transport.FaultDrop
+			}
+			return transport.FaultDeliver
+		})
+	}
+	f, err := NewFleetWrapped(4, cfg, wrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 4; i++ {
+		if err := f.Tick(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+	}
+	primary := f.Node(0).Primaries()[0]
+	holder := -1
+	for _, h := range f.Node(0).ReplicaMap()[0] {
+		if h != primary {
+			holder = h
+			break
+		}
+	}
+	if holder < 0 {
+		t.Fatal("partition 0 has no secondary holder")
+	}
+	// A key only the holder has: the AE walk must push it back.
+	extra := []durable.Entry{{Key: "ae-backflow-key", Ver: 1 << 50, Val: []byte("holder-only")}}
+	if _, applied, err := f.Node(holder).store.Part(0).MergeResident(extra); err != nil || !applied {
+		t.Fatalf("seed holder-only key: applied=%v err=%v", applied, err)
+	}
+	before := f.Node(holder).AEStats().Repairs
+	for i := 0; i < cfg.AEInterval; i++ {
+		if err := f.Tick(); err != nil {
+			t.Fatalf("tick: %v", err)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no backflow push was attempted — the scenario did not diverge")
+	}
+	if got := f.Node(holder).AEStats().Repairs; got != before {
+		t.Fatalf("Repairs moved %d → %d while every push was dropped", before, got)
+	}
+	dropRepairs = false
+	for i := 0; i < cfg.AEInterval; i++ {
+		if err := f.Tick(); err != nil {
+			t.Fatalf("tick: %v", err)
+		}
+	}
+	if got := f.Node(holder).AEStats().Repairs; got != before+1 {
+		t.Fatalf("Repairs = %d after the push got through, want %d", got, before+1)
+	}
+	if _, _, ok, _ := f.Node(primary).store.Part(0).Get(extra[0].Key); !ok {
+		t.Error("the accepted push did not land at the primary")
+	}
+}

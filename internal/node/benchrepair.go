@@ -46,14 +46,16 @@ func repairEntries(keys int) []durable.Entry {
 	return entries
 }
 
-// MeasureTransferRepair runs two real transfer sessions over
-// loopback — a cold full migration, then a re-migration after
-// `divergent` fresh writes — and reports the encoded request bytes
-// each put on the wire. The fleet's transport is wrapped with a
-// counting tap, so the numbers include every probe, begin, chunk and
-// complete frame exactly as sent (replies are not counted on either
-// side; chunk payloads dominate both).
-func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
+// repairFleet is a 3-node loopback fleet whose transport counts the
+// encoded request bytes of every transfer-session frame — probe, offer,
+// begin, chunk and done, exactly as sent. Replies are not counted on
+// either side; chunk payloads dominate them all.
+type repairFleet struct {
+	*Fleet
+	wireBytes int64
+}
+
+func newRepairFleet() (*repairFleet, error) {
 	cfg := DefaultConfig(0, nil)
 	cfg.Partitions = 8
 	cfg.ReplicaCapacity = 8
@@ -61,13 +63,12 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	cfg.WriteQuorum = 1
 	cfg.ReadQuorum = 1
 	cfg.TransferLeaseEpochs = 1 << 20
-
-	var wireBytes int64
+	rf := &repairFleet{}
 	wrap := func(i int, tr transport.Transport) transport.Transport {
 		return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
 			switch m.Kind {
-			case KindXferBegin, KindXferChunk, KindXferCursor, KindXferDone:
-				wireBytes += int64(len(transport.AppendMessage(nil, m)))
+			case KindXferBegin, KindXferChunk, KindXferCursor, KindXferDone, KindXferOffer:
+				rf.wireBytes += int64(len(transport.AppendMessage(nil, m)))
 			default: // only transfer-session frames count toward the comparison
 			}
 			return transport.FaultDeliver
@@ -75,60 +76,162 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	}
 	f, err := NewFleetWrapped(3, cfg, wrap)
 	if err != nil {
-		return RepairCost{}, err
+		return nil, err
 	}
-	defer f.Close()
+	rf.Fleet = f
+	return rf, nil
+}
 
-	const p, target = 0, 1
-	//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; f.Close owns shutdown
-	src := f.Node(0)
-	entries := repairEntries(keys)
-	if err := src.store.Part(p).MergeSnapshot(entries); err != nil {
-		return RepairCost{}, err
+// ship runs one session of partition p from node 0 to node target —
+// marking or not — to completion and returns the bytes it put on the
+// wire.
+func (rf *repairFleet) ship(p, target int, mark bool) (int64, error) {
+	//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; rf.Close owns shutdown
+	src := rf.Node(0)
+	src.mu.RLock()
+	s := src.startTransferLocked(p, target, mark)
+	src.mu.RUnlock()
+	rf.wireBytes = 0
+	if !src.pumpSession(s) {
+		return 0, fmt.Errorf("transfer of partition %d to node %d did not complete", p, target)
 	}
-	f.Node(target).store.Part(p).Drop()
+	return rf.wireBytes, nil
+}
 
-	// Cold migration: the target is non-resident, the plan is full.
-	wireBytes = 0
-	if !src.TransferPartition(p, target) {
-		return RepairCost{}, fmt.Errorf("full transfer of %d keys did not complete", keys)
+// fullShip seeds node 0's partition p with entries and prices a cold
+// migration of it: the target holds nothing, so the plan is the whole
+// snapshot — every row's baseline.
+func (rf *repairFleet) fullShip(p, target int, entries []durable.Entry) (int64, error) {
+	if err := rf.Node(0).store.Part(p).MergeSnapshot(entries); err != nil {
+		return 0, err
 	}
-	full := wireBytes
+	rf.Node(target).store.Part(p).Drop()
+	return rf.ship(p, target, true)
+}
 
-	// Diverge by `divergent` fresh writes above the shipped watermark,
-	// then re-migrate: the probe finds a resident target whose digest
-	// matches below the watermark, so only the fresh entries ship.
-	fresh := make([]durable.Entry, divergent)
+// freshEntries is n records newer than a keys-record repairEntries
+// image: new keys when overwrite is false, the first n of its keys at
+// higher versions otherwise.
+func freshEntries(keys, n int, overwrite bool) []durable.Entry {
+	fresh := make([]durable.Entry, n)
 	for i := range fresh {
 		val := make([]byte, 64)
 		copy(val, fmt.Sprintf("repair-bench-fresh.%d.", i))
-		fresh[i] = durable.Entry{
-			Key: fmt.Sprintf("repair-fresh-k%06d", i),
-			Ver: uint64(keys + i + 1),
-			Val: val,
+		key := fmt.Sprintf("repair-fresh-k%06d", i)
+		if overwrite {
+			key = fmt.Sprintf("repair-k%06d", i*(keys/n))
 		}
+		fresh[i] = durable.Entry{Key: key, Ver: uint64(keys + i + 1), Val: val}
 	}
-	if err := src.store.Part(p).MergeSnapshot(fresh); err != nil {
-		return RepairCost{}, err
-	}
-	wireBytes = 0
-	if !src.TransferPartition(p, target) {
-		return RepairCost{}, fmt.Errorf("delta re-transfer did not complete")
-	}
-	delta := wireBytes
-	st := src.TransferStats()
-	if st.DeltaSessions != 1 {
-		return RepairCost{}, fmt.Errorf("re-migration did not plan a delta session (stats %+v)", st)
-	}
+	return fresh
+}
 
+func repairCost(name string, keys, divergent int, full, delta int64) RepairCost {
 	return RepairCost{
-		Name:          fmt.Sprintf("transfer-remigrate-%dk-%d", keys/1000, divergent),
+		Name:          fmt.Sprintf("%s-%dk-%d", name, keys/1000, divergent),
 		Keys:          keys,
 		Divergent:     divergent,
 		BaselineBytes: full,
 		DeltaBytes:    delta,
 		Ratio:         float64(full) / float64(delta),
-	}, nil
+	}
+}
+
+// MeasureTransferRepair runs two real transfer sessions over
+// loopback — a cold full migration, then a re-migration after
+// `divergent` fresh writes — and reports the encoded request bytes
+// each put on the wire (see repairFleet).
+func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
+	rf, err := newRepairFleet()
+	if err != nil {
+		return RepairCost{}, err
+	}
+	defer rf.Close()
+
+	const p, target = 0, 1
+	full, err := rf.fullShip(p, target, repairEntries(keys))
+	if err != nil {
+		return RepairCost{}, err
+	}
+	// Diverge by `divergent` fresh writes above the shipped watermark,
+	// then re-migrate: the probe finds a target whose digest matches
+	// below the watermark, so only the fresh entries ship.
+	if err := rf.Node(0).store.Part(p).MergeSnapshot(freshEntries(keys, divergent, false)); err != nil {
+		return RepairCost{}, err
+	}
+	delta, err := rf.ship(p, target, true)
+	if err != nil {
+		return RepairCost{}, err
+	}
+	if st := rf.Node(0).TransferStats(); st.DeltaSessions != 1 {
+		return RepairCost{}, fmt.Errorf("re-migration did not plan a delta session (stats %+v)", st)
+	}
+	return repairCost("transfer-remigrate", keys, divergent, full, delta), nil
+}
+
+// MeasureRevokedRepair prices re-replication onto a copy a restarted
+// node kept (non-resident) while `divergent` of its keys were
+// overwritten elsewhere. Every bucket holding an overwritten key
+// diverges below the copy's watermark, so the offer round — counted
+// too — settles those buckets key by key, and only the overwritten
+// entries ship. The baseline is the cold full migration a non-resident
+// target used to get.
+func MeasureRevokedRepair(keys, divergent int) (RepairCost, error) {
+	rf, err := newRepairFleet()
+	if err != nil {
+		return RepairCost{}, err
+	}
+	defer rf.Close()
+
+	const p, target = 0, 1
+	full, err := rf.fullShip(p, target, repairEntries(keys))
+	if err != nil {
+		return RepairCost{}, err
+	}
+	if err := rf.Node(target).store.Part(p).Revoke(); err != nil {
+		return RepairCost{}, err
+	}
+	if err := rf.Node(0).store.Part(p).MergeSnapshot(freshEntries(keys, divergent, true)); err != nil {
+		return RepairCost{}, err
+	}
+	delta, err := rf.ship(p, target, true)
+	if err != nil {
+		return RepairCost{}, err
+	}
+	if !rf.Node(target).store.Part(p).Stats().Resident {
+		return RepairCost{}, fmt.Errorf("revoked copy not resident after re-replication")
+	}
+	return repairCost("transfer-revoked", keys, divergent, full, delta), nil
+}
+
+// MeasureReinjectRepair prices rejoin re-injection from a source whose
+// copy is `divergent` keys older than the holder's: every divergent
+// bucket is settled by the offer round and no entry ships. The baseline
+// is a full snapshot of the same partition.
+func MeasureReinjectRepair(keys, divergent int) (RepairCost, error) {
+	rf, err := newRepairFleet()
+	if err != nil {
+		return RepairCost{}, err
+	}
+	defer rf.Close()
+
+	const p, target = 0, 1
+	full, err := rf.fullShip(p, target, repairEntries(keys))
+	if err != nil {
+		return RepairCost{}, err
+	}
+	if err := rf.Node(target).store.Part(p).MergeSnapshot(freshEntries(keys, divergent, true)); err != nil {
+		return RepairCost{}, err
+	}
+	chunks := rf.Node(0).TransferStats().ChunksSent
+	delta, err := rf.ship(p, target, false)
+	if err != nil {
+		return RepairCost{}, err
+	}
+	if st := rf.Node(0).TransferStats(); st.ChunksSent != chunks {
+		return RepairCost{}, fmt.Errorf("stale re-injection shipped %d chunks", st.ChunksSent-chunks)
+	}
+	return repairCost("transfer-reinject", keys, divergent, full, delta), nil
 }
 
 // MeasureAERepair prices one anti-entropy repair of `divergent` stale
@@ -219,14 +322,7 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 		int64(len(appendAEKeys(nil, fetch))) +
 		int64(len(appendEntries(nil, fetched)))
 
-	return RepairCost{
-		Name:          fmt.Sprintf("ae-repair-%dk-%d", keys/1000, divergent),
-		Keys:          keys,
-		Divergent:     divergent,
-		BaselineBytes: flat,
-		DeltaBytes:    hier,
-		Ratio:         float64(flat) / float64(hier),
-	}
+	return repairCost("ae-repair", keys, divergent, flat, hier)
 }
 
 // appendAEDiff encodes the flat (PR 9) digest-reply shape: the

@@ -80,7 +80,7 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 		// answered as replays of a finished session.
 		case KindXferBegin:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
-				Value: appendXferBegin(nil, 1, false, xferChunk)}
+				Value: appendXferBegin(nil, 1, false, false, xferChunk)}
 		case KindXferChunk:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession,
 				Cursor: 0, Value: appendEntries(nil, xferChunk)}
@@ -101,6 +101,11 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 		case KindAEFetch:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(),
 				Value: appendAEKeys(nil, []string{key})}
+		case KindXferOffer:
+			// An offer of the seeded key at a version above the primary's:
+			// the target wants it.
+			offer := appendEntries(nil, []durable.Entry{{Key: key, Ver: 1 << 50}})
+			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession, Value: offer}
 		default:
 			t.Fatalf("KindNames declares node-to-node kind %d (%s) but this test has no representative message for it; extend the switch above", kind, KindNames[kind])
 		}

@@ -52,14 +52,13 @@ func blobCodec[T any](name string, decode func([]byte) (T, error), elems func(T)
 // Multi-result decoders, folded into one comparable value each.
 type (
 	fuzzXferInfo struct {
-		resident bool
-		leaves   []uint64
-		root     uint64
+		leaves []uint64
+		root   uint64
 	}
 	fuzzXferBegin struct {
-		total uint32
-		mark  bool
-		chunk []durable.Entry
+		total       uint32
+		mark, delta bool
+		chunk       []durable.Entry
 	}
 	fuzzAESub struct {
 		tops []int
@@ -89,18 +88,22 @@ var wireBlobs = []func(*testing.T, []byte){
 		func(s *statsBlob) []byte { return appendStats(nil, s) }),
 	blobCodec("xfer-info",
 		func(b []byte) (fuzzXferInfo, error) {
-			resident, leaves, root, err := decodeXferInfo(b)
-			return fuzzXferInfo{resident, leaves, root}, err
+			leaves, root, err := decodeXferInfo(b)
+			return fuzzXferInfo{leaves, root}, err
 		},
 		func(x fuzzXferInfo) int { return len(x.leaves) },
-		func(x fuzzXferInfo) []byte { return appendXferInfo(nil, x.resident, x.leaves, x.root) }),
+		func(x fuzzXferInfo) []byte { return appendXferInfo(nil, x.leaves, x.root) }),
 	blobCodec("xfer-begin",
 		func(b []byte) (fuzzXferBegin, error) {
-			total, mark, chunk, err := decodeXferBegin(b)
-			return fuzzXferBegin{total, mark, chunk}, err
+			total, mark, delta, chunk, err := decodeXferBegin(b)
+			return fuzzXferBegin{total, mark, delta, chunk}, err
 		},
 		func(x fuzzXferBegin) int { return 1 + len(x.chunk) },
-		func(x fuzzXferBegin) []byte { return appendXferBegin(nil, x.total, x.mark, x.chunk) }),
+		func(x fuzzXferBegin) []byte { return appendXferBegin(nil, x.total, x.mark, x.delta, x.chunk) }),
+	blobCodec("xfer-want",
+		func(b []byte) ([]int, error) { return decodeXferWant(b, 1<<16) },
+		func(want []int) int { return len(want) },
+		func(want []int) []byte { return appendXferWant(nil, want) }),
 	blobCodec("ae-sub",
 		func(b []byte) (fuzzAESub, error) {
 			tops, subs, err := decodeAESub(b)
@@ -163,12 +166,17 @@ func wireBlobSeeds() [][]byte {
 			},
 			digests: []aePartitionDigest{{partition: 1, root: 77, leaves: leaves}},
 		}),
-		appendXferInfo(nil, true, leaves, 42),
-		appendXferInfo(nil, true, nil, 7),
-		appendXferInfo(nil, false, nil, 0),
-		appendXferBegin(nil, 0, false, nil),
-		appendXferBegin(nil, 17, true, nil),
-		appendXferBegin(nil, 1<<32-1, true, nil),
+		appendXferInfo(nil, leaves, 42),
+		// A target holding nothing — how a memory-mode rejoiner or a
+		// dropped copy answers the probe, resident or not.
+		appendXferInfo(nil, nil, 0),
+		appendXferBegin(nil, 0, false, false, nil),
+		appendXferBegin(nil, 17, true, false, nil),
+		appendXferBegin(nil, 1<<32-1, true, true, nil),
+		// An offer (an entry block with empty values) and its want list.
+		appendEntries(nil, []durable.Entry{{Key: "alpha", Ver: 7}, {Key: "beta", Ver: 1 << 40}}),
+		appendXferWant(nil, []int{0, 3, 300}),
+		appendXferWant(nil, nil),
 		appendAESub(nil, []int{0, 5, aeTop - 1}, subs),
 		appendAEKeylists(nil, []int{3, 700, aeSubCount - 1}, [][]aeKeyVer{
 			{{key: "a", ver: 1}, {key: "bb", ver: 1 << 40}},
@@ -191,7 +199,7 @@ func wireBlobSeeds() [][]byte {
 		binary.AppendUvarint([]byte{1}, 1<<20),
 		binary.AppendUvarint(nil, 1<<40),
 		// A one-chunk begin, carrying its chunk.
-		appendXferBegin(nil, 1, true, []durable.Entry{
+		appendXferBegin(nil, 1, true, true, []durable.Entry{
 			{Key: "alpha", Val: []byte("1"), Ver: 7},
 			{Key: "beta", Val: []byte{}, Ver: 0},
 		}),

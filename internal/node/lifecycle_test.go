@@ -122,7 +122,7 @@ func TestStaleClaimDoesNotMoveReplicas(t *testing.T) {
 func oneChunkBegin(p uint32, session uint64, entries ...durable.Entry) *transport.Message {
 	return &transport.Message{
 		Kind: KindXferBegin, Partition: p, Session: session,
-		Value: appendXferBegin(nil, 1, true, entries),
+		Value: appendXferBegin(nil, 1, true, false, entries),
 	}
 }
 

@@ -376,6 +376,8 @@ func (n *Node) Handle(from string, req *transport.Message) (*transport.Message, 
 		return n.handleXferCursor(req)
 	case KindXferDone:
 		return n.handleXferDone(req)
+	case KindXferOffer:
+		return n.handleXferOffer(req)
 	case KindAEDigest:
 		return n.handleAEDigest(req)
 	case KindAERepair:
@@ -1275,15 +1277,13 @@ func (n *Node) adoptOrphansLocked() {
 func (n *Node) applyClaimLocked(cl *placementClaim) {
 	p := cl.partition
 	c := n.view.cluster
-	claimed := make(map[int]bool, len(cl.replicas))
 	for _, s := range cl.replicas {
-		claimed[s] = true
 		if !c.HasReplica(p, cluster.ServerID(s)) && c.CanHost(p, cluster.ServerID(s)) {
 			_ = c.AddReplica(p, cluster.ServerID(s))
 		}
 	}
 	for _, s := range c.ReplicaServers(p) {
-		if !claimed[int(s)] {
+		if !slices.Contains(cl.replicas, int(s)) {
 			_ = c.RemoveReplica(p, s) // refuses the last copy, which is what we want
 		}
 	}
@@ -1322,9 +1322,11 @@ func (n *Node) foldTrackerLocked() *workload.Matrix {
 		total    int
 	}
 	aggs := make([]agg, n.cfg.Partitions)
+	counts := make([]int, 2*peers*len(aggs)) // every agg's two slices, carved from one array
 	for p := range aggs {
-		aggs[p].traffic = make([]int, peers)
-		aggs[p].served = make([]int, peers)
+		row := counts[2*peers*p:]
+		aggs[p].traffic = row[:peers:peers]
+		aggs[p].served = row[peers : 2*peers : 2*peers]
 	}
 	for i := 0; i < peers; i++ {
 		blob := n.pending[i]

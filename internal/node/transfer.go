@@ -24,26 +24,33 @@ import (
 // hold is leased — a session making no progress for
 // TransferLeaseEpochs epochs is abandoned and the hold released.
 //
-// Delta planning: the first pump of a session probes the target
+// Planning: the first pump of a session probes the target
 // (KindXferCursor) before freezing anything. The unknown-session reply
-// carries the target's version watermark plus its transfer info
-// (residency + live AE top digest), and the source plans from it:
+// carries the target's version watermark plus the top digest of what
+// it physically holds — resident or not — and the source plans every
+// session from it by one rule, key-exact against that content:
 //
-//   - Target resident → a filtered plan: entries strictly above the
-//     watermark ship, plus the full content of every top bucket where
-//     the target's digest disagrees with the source's tree restricted
-//     to entries at-or-below the watermark (a hole below the watermark
-//     always dirties its bucket, so bucket-filtered shipping is exactly
-//     as safe as full). With no divergent bucket only the above-
-//     watermark entries ship — the repeat-migration fast path.
-//   - Target not resident (fresh holder, restarted node, stale/absent
-//     digest) → full frozen snapshot. A non-resident watermark is never
-//     trusted: begins durably adopt the source's maxVer up front, so it
-//     does not describe content coverage.
+//   - Entries strictly above the watermark ship: the target has never
+//     seen their versions.
+//   - Below it, a top bucket whose digest matches the source's tree of
+//     its own entries at or below the watermark ships nothing; one the
+//     target holds nothing in ships whole.
+//   - A divergent bucket populated on both sides costs one offer round
+//     (KindXferOffer): the source sends its (key, version) pairs for
+//     the bucket, the target answers with those it lacks or holds older,
+//     and only those ship.
 //
-// A delta session never marks the target resident on completion — the
-// target already was resident, and a session invalidated mid-flight
-// (drop, restart) must not bless a partial subset as authoritative.
+// A plan against an empty target is therefore the full snapshot, and
+// the watermark needs no trust: any record it falsely claims dirties
+// its bucket. A session marks the target resident exactly when it was
+// opened to (decision ships and heals do, rejoin re-injection does
+// not), whatever its plan: a completed session only ever adds to the
+// probed content, and that content only grows until the session is
+// invalidated. Invalidation is a drop, a reset or a restart at the
+// target; the target then answers StatusNotFound, and the source
+// probes and plans again. A delta's begin is fenced the same way: the
+// target opens it only while the content its probe described is still
+// there (durable.Partition.Probe).
 //
 // Lock order: n.mu (either mode) may be held while taking n.xmu, never
 // the reverse; no lock is held across a transport send — a pump claims
@@ -76,10 +83,11 @@ const (
 // since start. Resumed increments when a session continues from a
 // nonzero cursor the target reported after an interruption — the
 // signal the crash-mid-transfer scenarios assert on. DeltaSessions
-// and FullSessions split planned sessions by outcome; ChunksSent and
-// BytesSent count the chunks actually shipped (a one-chunk begin's
-// included) and their payload bytes, and BytesSaved the payload bytes
-// delta planning avoided shipping.
+// and FullSessions split plans by outcome (a session the target
+// invalidated plans again); ChunksSent counts the chunks actually
+// shipped (a one-chunk begin's included), BytesSent their payload
+// bytes plus the offer round's blobs in both directions, and BytesSaved
+// the chunk payload bytes planning avoided shipping.
 type TransferStats struct {
 	Started       int64 `json:"started"`
 	Completed     int64 `json:"completed"`
@@ -100,14 +108,13 @@ type xferSession struct {
 	id     uint64
 	p      int
 	target int
-	mark   bool               // completion marks the target resident (full plans only)
+	mark   bool               // completion marks the target resident
 	part   *durable.Partition // the partition the snapshot (and its hold) came from
 
-	planned bool // the delta-planning probe ran; chunks and maxVer are set
-	delta   bool // the plan shipped a watermark/digest-filtered subset
+	planned bool // a probe reply was planned from; chunks and maxVer are set
+	delta   bool // the plan skips entries the probed content already holds
 	maxVer  uint64
 	chunks  [][]durable.Entry
-	saved   int64 // payload bytes the delta plan avoided shipping
 
 	begun       bool   // target has acked a begin for this session
 	next        uint32 // next chunk to send (the target's cursor)
@@ -127,7 +134,7 @@ func (n *Node) TransferStats() TransferStats {
 
 // startTransferLocked opens an outbound session for partition p toward
 // target, takes the compaction hold and returns the session; the
-// snapshot itself is frozen later, by the first pump's delta-planning
+// snapshot itself is frozen later, by the first pump's planning
 // probe. Callers hold n.mu; an existing live session for the same
 // (partition, target) pair is returned as is — its frozen state is
 // already on the way, and syncs/read-repair heal anything newer.
@@ -160,29 +167,44 @@ func (n *Node) sessionXLocked(p, target int, mark, reuseBusy bool) *xferSession 
 	return s
 }
 
-// planSession freezes the session's chunk set from the target's probe
-// reply: the target's pre-session version watermark and its transfer
-// info (residency flag + live AE top digest). Returns the frozen
-// chunks, the covering maxVer, whether the plan is a delta (a
-// filtered subset), and the encoded payload bytes the filter avoided.
-// Runs lock-free on the owning pump; the caller writes the plan back
-// under xmu.
-func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunks [][]durable.Entry, maxVer uint64, delta bool, saved int64) {
-	entries, ver := s.part.Entries()
-	resident, leaves, _, err := decodeXferInfo(info)
-	if err != nil || !resident || len(leaves) != aeTop {
-		// Non-resident target (or a malformed/absent digest): its
-		// watermark does not describe content coverage — begins adopt the
-		// source's maxVer durably before any entry lands — so nothing
-		// below it can be skipped. Ship the full frozen snapshot.
-		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
+// planSession freezes the session's chunks from the target's probe
+// reply: its version watermark and the transfer-info blob of what it
+// physically holds. An empty target (or an unreadable answer) gets the
+// whole snapshot; any other is filtered by filterPlan. Runs lock-free
+// on the owning pump and writes the plan back under xmu; false means
+// the offer round could not reach the target and nothing was planned.
+func (n *Node) planSession(s *xferSession, addr string, watermark uint64, info []byte) bool {
+	entries, maxVer := s.part.Entries()
+	kept, roundBytes := entries, int64(0)
+	if theirs, _, err := decodeXferInfo(info); err == nil && theirs != nil {
+		var ok bool
+		if kept, roundBytes, ok = n.filterPlan(s, addr, entries, watermark, theirs); !ok {
+			return false
+		}
 	}
-	if !slices.ContainsFunc(entries, func(e durable.Entry) bool { return e.Ver <= watermark }) {
-		// Nothing at or below the watermark (a resident-but-empty target
-		// at watermark 0, say): every entry ships, so the plan is full, and
-		// no tree need be built to learn that.
-		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
+	delta := len(kept) < len(entries)
+
+	n.xmu.Lock()
+	s.chunks, s.maxVer, s.delta = sliceChunks(kept, n.cfg.TransferChunkEntries), maxVer, delta
+	if delta {
+		n.xstats.DeltaSessions++
+		n.xstats.BytesSaved += int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
+	} else {
+		n.xstats.FullSessions++
 	}
+	n.xstats.BytesSent += roundBytes
+	n.xmu.Unlock()
+	return true
+}
+
+// filterPlan keeps the entries a target lacks, given its watermark and
+// the top digest theirs of what it holds: everything above the
+// watermark, whole buckets it holds nothing in, and — through one
+// offer round to addr — the entries of divergent buckets both sides
+// populate that it lacks or holds older. roundBytes is the offer
+// round's payload in both directions; ok is false when the round could
+// not reach the target.
+func (n *Node) filterPlan(s *xferSession, addr string, entries []durable.Entry, watermark uint64, theirs []uint64) (kept []durable.Entry, roundBytes int64, ok bool) {
 	below := NewAETree()
 	for _, e := range entries {
 		if e.Ver <= watermark {
@@ -190,28 +212,48 @@ func (n *Node) planSession(s *xferSession, watermark uint64, info []byte) (chunk
 		}
 	}
 	mine := below.Leaves()
-	var divergent [aeTop]bool
-	for b := range divergent {
-		divergent[b] = leaves[b] != mine[b]
+	ship := make([]bool, len(entries))
+	var offered []int // entries the target rules on in the offer round
+	for i, e := range entries {
+		b := aeBucket(e.Key)
+		switch {
+		case e.Ver > watermark || theirs[b] == 0:
+			ship[i] = true
+		case theirs[b] != mine[b]:
+			offered = append(offered, i)
+		}
 	}
-	// Ship everything above the watermark plus the full content of the
-	// buckets that disagree below it. A hole or stale entry at the target
-	// always dirties its covering bucket, so this is exactly as safe as a
-	// full snapshot.
-	kept := make([]durable.Entry, 0, len(entries))
-	for _, e := range entries {
-		if e.Ver > watermark || divergent[aeBucket(e.Key)] {
+	if len(offered) > 0 {
+		offer := make([]durable.Entry, len(offered))
+		for j, i := range offered {
+			offer[j] = durable.Entry{Key: entries[i].Key, Ver: entries[i].Ver}
+		}
+		req := appendEntries(nil, offer)
+		resp, err := n.tr.Send(addr, &transport.Message{
+			Kind: KindXferOffer, Partition: uint32(s.p), Session: s.id, Value: req,
+		})
+		if err != nil {
+			return nil, 0, false
+		}
+		roundBytes = int64(len(req) + len(resp.Value))
+		want, err := decodeXferWant(resp.Value, len(offer))
+		if err != nil || resp.Status != transport.StatusOK {
+			want = nil
+			for j := range offered {
+				want = append(want, j) // no usable answer: ship the whole offer
+			}
+		}
+		for _, j := range want {
+			ship[offered[j]] = true
+		}
+	}
+	kept = make([]durable.Entry, 0, len(entries))
+	for i, e := range entries {
+		if ship[i] {
 			kept = append(kept, e)
 		}
 	}
-	if len(kept) == len(entries) {
-		// A plan that keeps everything anyway (every bucket below the
-		// watermark disagrees, say) is a full plan, not a delta: it keeps
-		// its residency-marking power and counts nothing as saved.
-		return sliceChunks(entries, n.cfg.TransferChunkEntries), ver, false, 0
-	}
-	saved = int64(encodedEntriesLen(entries) - encodedEntriesLen(kept))
-	return sliceChunks(kept, n.cfg.TransferChunkEntries), ver, true, saved
+	return kept, roundBytes, true
 }
 
 // sliceChunks splits a frozen entry slice into chunks of at most
@@ -370,10 +412,11 @@ func (n *Node) TransferPartition(p, target int) bool {
 }
 
 // pumpSession drives one session as far as it will go in a single
-// round: (re)begin or probe for the target's cursor, stream chunks
-// from there, and close with done. Any send failure ends the round —
-// the session stays, the cursor survives on the target, and the next
-// pump resumes. Returns true when the session completed (and was
+// round: probe (planning from the reply when the target does not know
+// the session), begin, stream chunks from the target's cursor, and
+// close with done. Any send failure ends the round — the session
+// stays, the cursor survives on the target, and the next pump probes
+// and resumes. Returns true when the session completed (and was
 // removed); false at once when another pump holds the session or it is
 // no longer live. Callers must not hold n.mu or n.xmu.
 //
@@ -395,80 +438,73 @@ func (n *Node) pumpSession(s *xferSession) bool {
 func (n *Node) pumpClaimed(s *xferSession) bool {
 	// Work on local copies of the cursor state: the lease ager reads the
 	// session under xmu while a pump is in flight, so the pump must not
-	// scribble on the struct lock-free. Written back at settle.
+	// scribble on the struct lock-free. Written back at settle. The plan
+	// itself (chunks, maxVer, delta) is written by planSession under xmu
+	// and read lock-free here: only the pump that holds the session
+	// plans it.
 	n.xmu.Lock()
-	begun, next, wasInterrupted := s.begun, s.next, s.interrupted
-	planned := s.planned
+	begun, next, planned, wasInterrupted := s.begun, s.next, s.planned, s.interrupted
 	n.xmu.Unlock()
 
 	addr := n.peerAddr(s.target)
-	if !planned {
-		// Delta-planning probe: ask the target for its watermark and
-		// transfer info before freezing anything, then freeze only what
-		// the plan says must ship.
-		resp, err := n.tr.Send(addr, &transport.Message{
-			Kind: KindXferCursor, Partition: uint32(s.p), Session: s.id,
-		})
-		if err != nil {
-			n.xmu.Lock()
-			s.busy, s.interrupted = false, true
-			n.xmu.Unlock()
-			return false
-		}
-		var (
-			chunks [][]durable.Entry
-			maxVer uint64
-			delta  bool
-			saved  int64
-		)
-		switch resp.Status {
-		case transport.StatusNotFound:
-			// The expected reply: the target does not know the session,
-			// and its answer carries the pre-session watermark plus the
-			// residency/digest blob the plan needs.
-			chunks, maxVer, delta, saved = n.planSession(s, resp.Version, resp.Value)
-		case transport.StatusOK:
-			// The target already tracks this id (defensive — ids are
-			// unique across boots): plan a full session and adopt the
-			// cursor it reports.
-			chunks, maxVer, delta, saved = n.planSession(s, 0, nil)
-			begun = true
-			if resp.Cursor == xferComplete {
-				next = uint32(len(chunks))
-			} else if c := uint32(resp.Cursor); c <= uint32(len(chunks)) {
-				next = c
+	completed, resumed := false, false
+	sent, sentBytes := int64(0), int64(0)
+	// An unplanned session probes to plan; an interrupted one probes
+	// first too, to learn where the target's cursor stands (it may have
+	// applied a chunk whose ack was lost, recovered its cursor across a
+	// restart, or lost the session and answer with a fresh plan's data).
+	probe := !planned || wasInterrupted
+	plans := 0
+
+	// One bounded walk through the session state machine. A round plans
+	// at most twice (the target may lose the session once mid-round), so
+	// twice the chunk count plus the probes, begins and dones bounds the
+	// exchanges even under adversarial replies.
+walk:
+	for step := 0; step < 2*len(s.chunks)+8; step++ {
+		total := uint32(len(s.chunks))
+		if probe {
+			probe = false
+			resp, err := n.tr.Send(addr, &transport.Message{
+				Kind: KindXferCursor, Partition: uint32(s.p), Session: s.id,
+			})
+			if err != nil {
+				break
 			}
-		default:
-			n.xmu.Lock()
-			s.busy, s.interrupted = false, true
-			n.xmu.Unlock()
-			return false
+			switch resp.Status {
+			case transport.StatusNotFound:
+				// The target does not know the session: its reply is the
+				// planning handshake.
+				if plans == 2 || !n.planSession(s, addr, resp.Version, resp.Value) {
+					break walk
+				}
+				plans++
+				planned, begun, next = true, false, 0
+				continue
+			case transport.StatusOK:
+				if !planned {
+					// The target already tracks an id this source never
+					// planned (defensive — ids are unique across boots):
+					// plan a full session and adopt the cursor.
+					if !n.planSession(s, addr, 0, nil) {
+						break walk
+					}
+					planned, total = true, uint32(len(s.chunks))
+				}
+				begun = true
+				if resp.Cursor == xferComplete {
+					completed = true
+					break walk
+				}
+				if c := uint32(resp.Cursor); c <= total {
+					resumed = resumed || c > 0
+					next = c
+				}
+				continue
+			default:
+				break walk
+			}
 		}
-		n.xmu.Lock()
-		s.chunks, s.maxVer, s.delta, s.saved = chunks, maxVer, delta, saved
-		s.mark = s.mark && !delta
-		s.planned = true
-		if delta {
-			n.xstats.DeltaSessions++
-		} else {
-			n.xstats.FullSessions++
-		}
-		n.xstats.BytesSaved += saved
-		n.xmu.Unlock()
-	}
-
-	completed := false
-	interrupted := true
-	total := uint32(len(s.chunks))
-	sent := int64(0)
-	sentBytes := int64(0)
-	resumed := false
-
-	// One bounded walk through the session state machine. The loop
-	// re-begins at most once per pump (cursor lost at the target), so
-	// 2*(total+2) exchanges bound the round even under adversarial
-	// replies.
-	for step := 0; step < 2*int(total)+4; step++ {
 		if !begun {
 			// A one-chunk plan's begin carries its chunk, and the target
 			// closes the session in the same exchange.
@@ -478,9 +514,16 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 			}
 			resp, err := n.tr.Send(addr, &transport.Message{
 				Kind: KindXferBegin, Partition: uint32(s.p), Session: s.id,
-				Version: s.maxVer, Value: appendXferBegin(nil, total, s.mark, only),
+				Version: s.maxVer, Value: appendXferBegin(nil, total, s.mark, s.delta, only),
 			})
-			if err != nil || resp.Status != transport.StatusOK {
+			if err != nil {
+				break
+			}
+			if resp.Status == transport.StatusNotFound {
+				probe = true // the probed content is gone: plan again
+				continue
+			}
+			if resp.Status != transport.StatusOK {
 				break
 			}
 			if total == 1 {
@@ -489,43 +532,11 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 			}
 			begun = true
 			if resp.Cursor == xferComplete {
-				completed, interrupted = true, false
+				completed = true
 				break
 			}
 			if c := uint32(resp.Cursor); c <= total {
-				if c > 0 && wasInterrupted {
-					resumed = true
-				}
-				next = c
-			}
-			continue
-		}
-		if wasInterrupted && step == 0 {
-			// The last round ended mid-session: ask the target where its
-			// cursor actually stands before re-sending anything (it may
-			// have applied a chunk whose ack we lost, or recovered the
-			// cursor from its WAL across a restart).
-			resp, err := n.tr.Send(addr, &transport.Message{
-				Kind: KindXferCursor, Partition: uint32(s.p), Session: s.id,
-			})
-			if err != nil {
-				break
-			}
-			if resp.Status == transport.StatusNotFound {
-				begun = false // target lost the session: re-begin
-				continue
-			}
-			if resp.Status != transport.StatusOK {
-				break
-			}
-			if resp.Cursor == xferComplete {
-				completed, interrupted = true, false
-				break
-			}
-			if c := uint32(resp.Cursor); c <= total {
-				if c > 0 {
-					resumed = true
-				}
+				resumed = resumed || (c > 0 && wasInterrupted)
 				next = c
 			}
 			continue
@@ -540,7 +551,7 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 				break
 			}
 			if resp.Status == transport.StatusNotFound {
-				begun = false
+				probe = true // the target lost the session: plan again
 				continue
 			}
 			if resp.Status != transport.StatusOK {
@@ -549,7 +560,7 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 			sent++
 			sentBytes += int64(len(payload))
 			if resp.Cursor == xferComplete {
-				completed, interrupted = true, false
+				completed = true
 				break
 			}
 			if c := uint32(resp.Cursor); c <= total {
@@ -566,14 +577,14 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 		}
 		switch resp.Status {
 		case transport.StatusOK:
-			completed, interrupted = true, false
+			completed = true
 		case transport.StatusRetry:
 			if c := uint32(resp.Cursor); c < total {
 				next = c
 				continue
 			}
 		case transport.StatusNotFound:
-			begun = false
+			probe = true
 			continue
 		default:
 			// StatusError: the target could not settle the session this
@@ -584,8 +595,8 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 
 	n.xmu.Lock()
 	s.busy = false
-	s.begun, s.next = begun, next
-	s.interrupted = interrupted && !completed
+	s.planned, s.begun, s.next = planned, begun, next
+	s.interrupted = !completed
 	n.xstats.ChunksSent += sent
 	n.xstats.BytesSent += sentBytes
 	if resumed {
@@ -612,14 +623,14 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 	if err != nil {
 		return nil, err
 	}
-	total, mark, chunk, err := decodeXferBegin(req.Value)
+	total, mark, delta, chunk, err := decodeXferBegin(req.Value)
 	if err != nil {
 		return nil, err
 	}
 	n.mu.RLock()
 	part := n.store.Part(p)
-	next, err := part.BeginInbound(req.Session, total, mark, req.Version)
-	if err == nil && total <= 1 && next != xferComplete {
+	next, known, err := part.BeginInbound(req.Session, total, mark, req.Version, delta)
+	if err == nil && known && total <= 1 && next != xferComplete {
 		// A plan of at most one chunk is the whole session in this
 		// message: apply the carried chunk and close. A replayed begin of
 		// a finished session was answered from the done-list above.
@@ -633,6 +644,10 @@ func (n *Node) handleXferBegin(req *transport.Message) (*transport.Message, erro
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
+	}
+	if !known {
+		return &transport.Message{Kind: KindXferBegin, Partition: req.Partition, Session: req.Session,
+			Status: transport.StatusNotFound}, nil
 	}
 	return &transport.Message{Kind: KindXferBegin, Partition: req.Partition, Session: req.Session, Cursor: next}, nil
 }
@@ -672,15 +687,32 @@ func (n *Node) handleXferCursor(req *transport.Message) (*transport.Message, err
 	next, known := part.InboundCursor(req.Session)
 	n.mu.RUnlock()
 	if !known {
-		// Unknown session: the reply doubles as the delta-planning
-		// handshake — it carries the partition's version watermark plus
-		// the residency/digest blob the source plans from.
-		maxVer, resident, leaves, root := part.Digest()
+		// Unknown session: the reply is the planning handshake — the
+		// partition's version watermark plus the digest of its content.
+		maxVer, leaves, root := part.Probe(req.Session)
 		return &transport.Message{Kind: KindXferCursor, Partition: req.Partition, Session: req.Session,
 			Status: transport.StatusNotFound, Version: maxVer,
-			Value: appendXferInfo(nil, resident, leaves, root)}, nil
+			Value: appendXferInfo(nil, leaves, root)}, nil
 	}
 	return &transport.Message{Kind: KindXferCursor, Partition: req.Partition, Session: req.Session, Cursor: next}, nil
+}
+
+// handleXferOffer answers a session's offer round: which of the offered
+// (key, version) pairs this partition lacks or holds at a lower version.
+func (n *Node) handleXferOffer(req *transport.Message) (*transport.Message, error) {
+	p, err := n.checkPartition(req.Partition)
+	if err != nil {
+		return nil, err
+	}
+	offer, err := decodeEntries(req.Value)
+	if err != nil {
+		return nil, err
+	}
+	n.mu.RLock()
+	want := n.store.Part(p).Wants(offer)
+	n.mu.RUnlock()
+	return &transport.Message{Kind: KindXferOffer, Partition: req.Partition, Session: req.Session,
+		Value: appendXferWant(nil, want)}, nil
 }
 
 func (n *Node) handleXferDone(req *transport.Message) (*transport.Message, error) {

@@ -98,7 +98,7 @@ func TestTransferResumesFromTargetCursor(t *testing.T) {
 	if total != 4 {
 		t.Fatalf("expected 4 chunks, got %d", total)
 	}
-	if _, err := dst.store.Part(p).BeginInbound(sess.id, total, true, sess.maxVer); err != nil {
+	if _, _, err := dst.store.Part(p).BeginInbound(sess.id, total, true, sess.maxVer, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := dst.store.Part(p).ApplyChunk(sess.id, 0, sess.chunks[0]); err != nil {

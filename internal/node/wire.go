@@ -62,28 +62,32 @@ const (
 	// KindXferBegin opens (or re-opens) a transfer session — every
 	// partition ship is one. Session carries the session id, Version the
 	// source partition's version watermark, Value the begin blob (total
-	// chunks + whether completion marks the target resident, then the
+	// chunks, a flags byte — completion marks the target resident; the
+	// plan is a delta against the content the probe reported — then the
 	// only chunk of a one-chunk plan). A plan of at most one chunk is a
 	// whole session in this one message: the target begins, applies the
 	// carried chunk and closes, and answers xferComplete. Otherwise the
 	// StatusOK reply's Cursor is the next chunk the target wants — 0 for
 	// a fresh session, higher when the target recovered a resume cursor,
 	// xferComplete when the session already finished (replayed begin).
-	// The delta plan was already built from the cursor probe's reply, so
-	// the begin reply carries nothing else.
+	// StatusNotFound refuses a delta whose probed content is gone (drop,
+	// reset or restart since the probe): the source probes and plans
+	// again.
 	KindXferBegin uint8 = 9
 	// KindXferChunk carries one chunk of entries: Cursor is the chunk
 	// index, Value the entry block. The reply echoes the next wanted
 	// chunk in Cursor; a stale or duplicate chunk is acked without
 	// re-applying (the cursor only moves forward). StatusNotFound means
-	// the target does not know the session and the source must re-begin.
+	// the target does not know the session and the source must plan
+	// again.
 	KindXferChunk uint8 = 10
-	// KindXferCursor is the resume probe: the source asks where the
-	// target's cursor stands for a session (after faults or a restart on
-	// either side). Reply as for KindXferBegin. A StatusNotFound reply
-	// (unknown session) carries the target's current version watermark in
-	// Version and its transfer-info blob in Value — the probe doubles as
-	// the delta-planning handshake before the first begin.
+	// KindXferCursor is the probe: the source asks where the target's
+	// cursor stands for a session (before planning, and after faults or
+	// a restart on either side). Reply as for KindXferBegin. A
+	// StatusNotFound reply (unknown session) carries the target's
+	// version watermark in Version and, in Value, the transfer-info blob:
+	// the top digest of what the target physically holds, resident or
+	// not. It is the planning handshake.
 	KindXferCursor uint8 = 11
 	// KindXferDone closes a session: the target checks every chunk
 	// arrived, applies the completion side effects (residency, version
@@ -111,6 +115,13 @@ const (
 	// proved stale or missing locally. The StatusOK reply is a standard
 	// entry block; StatusRetry means the primary lost residency mid-round.
 	KindAEFetch uint8 = 15
+	// KindXferOffer settles the top buckets a plan cannot decide from
+	// the digests alone — divergent, and populated on both sides. Value
+	// is an entry block of the source's (key, version) pairs in those
+	// buckets with empty values; the StatusOK reply's Value is the want
+	// blob: the indexes of the pairs the target lacks or holds older.
+	// Only those entries ship.
+	KindXferOffer uint8 = 16
 
 	// KindEpochFlush makes the node broadcast its epoch stats (phase A
 	// of the two-phase tick).
@@ -143,6 +154,7 @@ var KindNames = map[uint8]string{
 	KindAEDigest:   "ae-digest",
 	KindAERepair:   "ae-repair",
 	KindAEFetch:    "ae-fetch",
+	KindXferOffer:  "xfer-offer",
 	KindEpochFlush: "epoch-flush",
 	KindEpochRun:   "epoch-run",
 	KindDump:       "dump",
@@ -367,16 +379,25 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// Flags of the KindXferBegin payload.
+const (
+	xferMark  = 1 << 0 // completion marks the target resident
+	xferDelta = 1 << 1 // the plan ships only what the probed content lacked
+)
+
 // appendXferBegin encodes a KindXferBegin payload: the session's total
-// chunk count, whether completion marks the target resident, and — in
-// a one-chunk plan only — that chunk's entry block.
-func appendXferBegin(dst []byte, total uint32, markResident bool, chunk []durable.Entry) []byte {
+// chunk count, the flags byte, and — in a one-chunk plan only — that
+// chunk's entry block.
+func appendXferBegin(dst []byte, total uint32, markResident, delta bool, chunk []durable.Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(total))
-	flag := byte(0)
+	flags := byte(0)
 	if markResident {
-		flag = 1
+		flags |= xferMark
 	}
-	dst = append(dst, flag)
+	if delta {
+		flags |= xferDelta
+	}
+	dst = append(dst, flags)
 	if total == 1 {
 		dst = appendEntries(dst, chunk)
 	}
@@ -385,27 +406,31 @@ func appendXferBegin(dst []byte, total uint32, markResident bool, chunk []durabl
 
 // decodeXferBegin parses a KindXferBegin payload. chunk is the carried
 // entry block of a one-chunk plan, nil for any other total.
-func decodeXferBegin(buf []byte) (total uint32, markResident bool, chunk []durable.Entry, err error) {
+func decodeXferBegin(buf []byte) (total uint32, markResident, delta bool, chunk []durable.Entry, err error) {
 	r := &uvarintReader{buf: buf}
 	t := r.next()
 	if r.err != nil {
-		return 0, false, nil, r.err
+		return 0, false, false, nil, r.err
 	}
 	if t > 1<<32-1 {
-		return 0, false, nil, fmt.Errorf("node: transfer chunk count %d overflows uint32", t)
+		return 0, false, false, nil, fmt.Errorf("node: transfer chunk count %d overflows uint32", t)
 	}
 	if len(r.buf) == 0 {
-		return 0, false, nil, fmt.Errorf("node: transfer begin blob has no flag byte")
+		return 0, false, false, nil, fmt.Errorf("node: transfer begin blob has no flags byte")
+	}
+	flags := r.buf[0]
+	if flags&^(xferMark|xferDelta) != 0 {
+		return 0, false, false, nil, fmt.Errorf("node: transfer begin has unknown flags %#x", flags)
 	}
 	rest := r.buf[1:]
 	if t == 1 {
 		if chunk, err = decodeEntries(rest); err != nil {
-			return 0, false, nil, err
+			return 0, false, false, nil, err
 		}
 	} else if len(rest) != 0 {
-		return 0, false, nil, fmt.Errorf("node: %d trailing bytes after a %d-chunk transfer begin", len(rest), t)
+		return 0, false, false, nil, fmt.Errorf("node: %d trailing bytes after a %d-chunk transfer begin", len(rest), t)
 	}
-	return uint32(t), r.buf[0] == 1, chunk, nil
+	return uint32(t), flags&xferMark != 0, flags&xferDelta != 0, chunk, nil
 }
 
 // decodeEntries parses an entry block into a key-ordered entry slice.
@@ -489,40 +514,76 @@ func appendAEDigest(dst []byte, leaves []uint64, root uint64) []byte {
 }
 
 // appendXferInfo encodes a transfer-info blob, carried in the Value of
-// unknown-session cursor-probe replies: one flags byte (bit 0 = the
-// partition is resident at the target), then — for resident targets
-// only — the target's AE top digest. Paired with the reply's Version
-// field (the target's pre-session maxVer watermark) it is everything
-// the source needs to plan a delta.
-func appendXferInfo(dst []byte, resident bool, leaves []uint64, root uint64) []byte {
-	if !resident {
+// unknown-session probe replies: the top digest of what the target
+// physically holds, resident or not. One byte 0 says it holds nothing
+// (every leaf zero); otherwise byte 1 and the aeTop-leaf digest follow.
+// Paired with the reply's Version field (the target's maxVer watermark)
+// it is everything the source needs to plan.
+func appendXferInfo(dst []byte, leaves []uint64, root uint64) []byte {
+	if leaves == nil {
 		return append(dst, 0)
 	}
-	dst = append(dst, 1)
-	return appendAEDigest(dst, leaves, root)
+	return appendAEDigest(append(dst, 1), leaves, root)
 }
 
-// decodeXferInfo parses a transfer-info blob. An empty buffer decodes
-// as "no info" (non-resident, no digest) so probe replies from paths
-// that never attach one degrade to a full transfer rather than an
-// error.
-func decodeXferInfo(buf []byte) (resident bool, leaves []uint64, root uint64, err error) {
+// decodeXferInfo parses a transfer-info blob. nil leaves mean the target
+// holds nothing; a digest is always exactly aeTop leaves wide.
+func decodeXferInfo(buf []byte) (leaves []uint64, root uint64, err error) {
 	if len(buf) == 0 {
-		return false, nil, 0, nil
+		return nil, 0, fmt.Errorf("node: empty transfer info")
 	}
 	r := &uvarintReader{buf: buf[1:]}
-	if buf[0] == 1 {
-		leaves, root = r.readAEDigest()
-	} else if buf[0] != 0 {
-		return false, nil, 0, fmt.Errorf("node: transfer info has unknown flags byte %#x", buf[0])
+	switch buf[0] {
+	case 0:
+	case 1:
+		if leaves, root = r.readAEDigest(); r.err == nil && len(leaves) != aeTop {
+			return nil, 0, fmt.Errorf("node: transfer info digest has %d leaves, want %d", len(leaves), aeTop)
+		}
+	default:
+		return nil, 0, fmt.Errorf("node: transfer info has unknown flags byte %#x", buf[0])
 	}
 	if r.err != nil {
-		return false, nil, 0, r.err
+		return nil, 0, r.err
 	}
 	if len(r.buf) != 0 {
-		return false, nil, 0, fmt.Errorf("node: %d trailing bytes after transfer info", len(r.buf))
+		return nil, 0, fmt.Errorf("node: %d trailing bytes after transfer info", len(r.buf))
 	}
-	return buf[0] == 1, leaves, root, nil
+	return leaves, root, nil
+}
+
+// appendXferWant encodes a KindXferOffer reply: the ascending indexes
+// of the offered entries the target wants, each as its gap to the one
+// before.
+func appendXferWant(dst []byte, want []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(want)))
+	prev := -1
+	for _, i := range want {
+		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
+		prev = i
+	}
+	return dst
+}
+
+// decodeXferWant parses a KindXferOffer reply to an offer of n entries.
+func decodeXferWant(buf []byte, n int) ([]int, error) {
+	r := &uvarintReader{buf: buf}
+	count := r.nextInt(min(n, len(buf)))
+	want := make([]int, 0, count)
+	prev := -1
+	for i := 0; i < count && r.err == nil; i++ {
+		if prev >= n-1 {
+			return nil, fmt.Errorf("node: transfer want list runs past an offer of %d", n)
+		}
+		prev += 1 + r.nextInt(n-prev-2)
+		want = append(want, prev)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.buf) != 0 {
+		return nil, fmt.Errorf("node: %d trailing bytes after transfer want list", len(r.buf))
+	}
+	return want, nil
 }
 
 // appendAESub encodes a KindAEDigest request: for each divergent

@@ -183,22 +183,22 @@ func TestXferBeginRoundTrip(t *testing.T) {
 		{Key: "gamma", Val: bytes.Repeat([]byte("x"), 300), Ver: 9<<20 | 3},
 	}
 	cases := []struct {
-		total uint32
-		mark  bool
-		chunk []durable.Entry
+		total       uint32
+		mark, delta bool
+		chunk       []durable.Entry
 	}{
-		{0, false, nil}, {0, true, nil}, {1, false, chunk}, {1, true, chunk[:1]},
-		{17, true, nil}, {1<<32 - 1, true, nil},
+		{0, false, false, nil}, {0, true, true, nil}, {1, false, true, chunk}, {1, true, false, chunk[:1]},
+		{17, true, false, nil}, {1<<32 - 1, true, true, nil},
 	}
 	for _, c := range cases {
-		enc := appendXferBegin(nil, c.total, c.mark, c.chunk)
-		total, mark, got, err := decodeXferBegin(enc)
+		enc := appendXferBegin(nil, c.total, c.mark, c.delta, c.chunk)
+		total, mark, delta, got, err := decodeXferBegin(enc)
 		if err != nil {
-			t.Fatalf("(%d, %v): %v", c.total, c.mark, err)
+			t.Fatalf("(%d, %v, %v): %v", c.total, c.mark, c.delta, err)
 		}
-		if total != c.total || mark != c.mark || len(got) != len(c.chunk) {
-			t.Fatalf("(%d, %v, %d entries) round-tripped to (%d, %v, %d entries)",
-				c.total, c.mark, len(c.chunk), total, mark, len(got))
+		if total != c.total || mark != c.mark || delta != c.delta || len(got) != len(c.chunk) {
+			t.Fatalf("(%d, %v, %v, %d entries) round-tripped to (%d, %v, %v, %d entries)",
+				c.total, c.mark, c.delta, len(c.chunk), total, mark, delta, len(got))
 		}
 		for i, e := range got {
 			if want := c.chunk[i]; e.Key != want.Key || e.Ver != want.Ver || !bytes.Equal(e.Val, want.Val) {
@@ -209,11 +209,12 @@ func TestXferBeginRoundTrip(t *testing.T) {
 }
 
 func TestDecodeXferBeginRejectsCorrupt(t *testing.T) {
-	good := appendXferBegin(nil, 17, true, nil)
-	one := appendXferBegin(nil, 1, true, []durable.Entry{{Key: "k", Val: []byte("v"), Ver: 3}})
+	good := appendXferBegin(nil, 17, true, false, nil)
+	one := appendXferBegin(nil, 1, true, false, []durable.Entry{{Key: "k", Val: []byte("v"), Ver: 3}})
 	cases := map[string][]byte{
 		"empty":             good[:0],
 		"missing flag":      good[:len(good)-1],
+		"unknown flag":      append(binary.AppendUvarint(nil, 17), 4),
 		"trailing":          append(append([]byte{}, good...), 0),
 		"count overflows":   binary.AppendUvarint(nil, 1<<32), // and no flag byte either
 		"one-chunk no body": one[:2],
@@ -221,7 +222,7 @@ func TestDecodeXferBeginRejectsCorrupt(t *testing.T) {
 		"one-chunk tail":    append(append([]byte{}, one...), 0),
 	}
 	for name, buf := range cases {
-		if _, _, _, err := decodeXferBegin(buf); err == nil {
+		if _, _, _, _, err := decodeXferBegin(buf); err == nil {
 			t.Errorf("%s: corrupt transfer begin accepted", name)
 		}
 	}
