@@ -2,15 +2,15 @@
 // gives profilers a loaded cluster to sample.
 //
 // The repair suite (default) prices delta replication end to end:
-// bytes on the wire for a full re-migration against a planned delta
-// session at three divergence levels, onto a revoked copy, and from a
-// stale rejoiner (real transfer sessions over a tapped loopback fleet),
-// and a flat digest+diff anti-entropy repair against the hierarchical
-// sub-digest/keylist/fetch walk — the source of BENCH_repair.json. The stress suite is a pprof-friendly hammer: a
-// 3-node TCP fleet under concurrent put/get load with epochs ticking
-// underneath, meant to be run with -cpuprofile. The live data plane's
-// per-layer costs (codec, TCP hop, AE tree update) are the benchmark/
-// ledger's rows; the simulator's epoch loop is timed by
+// bytes on the wire for a full snapshot against planned sessions — a
+// re-migration at three divergence levels, an anti-entropy round
+// (both of its sessions) at two, onto a revoked copy, and from a stale
+// rejoiner, all real transfer sessions over a tapped loopback fleet —
+// the source of BENCH_repair.json. The stress suite is a pprof-friendly
+// hammer: a 3-node TCP fleet under concurrent put/get load with epochs
+// ticking underneath, meant to be run with -cpuprofile. The live data
+// plane's per-layer costs (codec, TCP hop, AE tree update) are the
+// benchmark/ ledger's rows; the simulator's epoch loop is timed by
 // `go test -bench BenchmarkStep ./internal/sim`.
 //
 //	rfhbench -o BENCH_repair.json
@@ -104,16 +104,16 @@ type repairReport struct {
 }
 
 // runRepairSuite measures replication bytes against divergence — the
-// delta-replication claim in one table. Three re-migration rows (10%,
-// 1% and 0.1% divergence on a 10k-key partition, real sessions on a
-// tapped loopback wire), two anti-entropy rows (single-key and
-// 1%-stale repair, flat vs hierarchical from the real encoders), and
-// two rows where the target's copy is not the source's past: a
-// re-replication onto a revoked copy missing 100 overwritten keys, and
-// a re-injection from a source 100 keys staler than the holder (real
-// sessions, offer round included, against a full snapshot). The
-// bandwidth ratios are key-count arithmetic, not timing, so the rows
-// are stable enough to commit.
+// delta-replication claim in one table, every row real sessions on a
+// tapped loopback wire against a full snapshot of the same 10k-key
+// partition. Three re-migration rows (10%, 1% and 0.1% divergence),
+// two anti-entropy rows (a holder one and 100 keys stale; both
+// sessions of the round, offer rounds included), and two rows where
+// the target's copy is not the source's past: a re-replication onto a
+// revoked copy missing 100 overwritten keys, and a re-injection from a
+// source 100 keys staler than the holder. The bandwidth ratios are
+// key-count arithmetic, not timing, so the rows are stable enough to
+// commit.
 func runRepairSuite() ([]node.RepairCost, error) {
 	const keys = 10000
 	var results []node.RepairCost

@@ -194,9 +194,9 @@ func cmdDump(args []string) error {
 		fmt.Printf("delta: %d delta sessions, %d full, %d bytes sent, %d bytes saved\n",
 			t.DeltaSessions, t.FullSessions, t.BytesSent, t.BytesSaved)
 	}
-	if ae := d.AntiEntropy; ae.Rounds > 0 || ae.Healed > 0 {
-		fmt.Printf("anti-entropy: %d rounds, %d synced, %d repairs shipped, %d entries healed, %d payload bytes\n",
-			ae.Rounds, ae.Synced, ae.Repairs, ae.Healed, ae.PayloadBytes)
+	if ae := d.AntiEntropy; ae.Rounds > 0 {
+		fmt.Printf("anti-entropy: %d roots published, %d in sync, %d sessions, %d entries repaired, %d payload bytes\n",
+			ae.Rounds, ae.Synced, ae.Sessions, ae.Repairs, ae.PayloadBytes)
 	}
 	return nil
 }

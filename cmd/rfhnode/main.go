@@ -58,7 +58,7 @@ func run() error {
 		readQuorum   = flag.Int("read-quorum", 1, "holders consulted per read, newest version wins and stale copies are repaired (R)")
 		dataDir      = flag.String("data-dir", "", "durable storage directory (WALs + snapshots, recovered on restart); empty keeps the in-memory store")
 		fsync        = flag.Bool("fsync", true, "fsync WAL appends and snapshots before acking (durable mode only; off trades power-cut safety for speed)")
-		aeInterval   = flag.Int("ae-interval", 0, "epochs between anti-entropy digest rounds (primaries reconcile co-holders via Merkle digests; 0 disables)")
+		aeInterval   = flag.Int("ae-interval", 0, "epochs between anti-entropy rounds (holders publish digest roots; a primary and a holder that differ repair each other through transfer sessions; 0 disables)")
 	)
 	flag.Parse()
 

@@ -508,15 +508,13 @@ func (h *harness) deciderFor(i int) transport.FaultFunc {
 // re-execution an epoch late. The transfer-session kinds are all
 // delayable: the target's cursor makes a late begin/chunk/done replay
 // a no-op ack, which is exactly the idempotence the sessions claim.
-// The anti-entropy kinds are delayable for the same reason: a digest
-// answers against whatever the holder has now, and a late repair's
-// entries merge version-gated, so stale payloads lose to newer copies
-// instead of regressing them.
+// Anti-entropy repairs are transfer sessions too, and their entries
+// merge version-gated, so a late payload loses to a newer copy instead
+// of regressing it.
 func delayable(kind uint8) bool {
 	switch kind {
 	case node.KindSync, node.KindDrop, node.KindStats,
-		node.KindXferBegin, node.KindXferChunk, node.KindXferCursor, node.KindXferDone, node.KindXferOffer,
-		node.KindAEDigest, node.KindAERepair, node.KindAEFetch:
+		node.KindXferBegin, node.KindXferChunk, node.KindXferCursor, node.KindXferDone, node.KindXferOffer:
 		return true
 	default:
 		return false

@@ -2,17 +2,12 @@ package durable
 
 import "encoding/binary"
 
-// Tree shape: AETop top-level buckets of AEFanout sub-buckets each.
-// The top digest (64 × 8 bytes) rides the stats broadcast; sub-leaf
-// vectors only move for divergent top buckets, and keylists only for
-// divergent sub-buckets, so payloads shrink geometrically with each
-// round. With a uniform key hash a single divergent key dirties one
-// sub-bucket holding ~1/4096th of the partition's keys.
-const (
-	AETop      = 64
-	AEFanout   = 64
-	aeSubCount = AETop * AEFanout
-)
+// AETop is the digest's width: a key's record lands in one of AETop
+// buckets. The leaves travel in transfer probe replies, where a
+// session plan compares them bucket by bucket; the 8-byte root rides
+// the stats broadcast on anti-entropy epochs. A single divergent key
+// dirties one bucket holding ~1/64th of the partition's keys.
+const AETop = 64
 
 // fnv-1a 64 parameters, written out because the tree hashes millions
 // of entries in the bench path and the stdlib hash.Hash64 interface
@@ -57,22 +52,24 @@ func mixBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
-// AESub maps a key to its sub-bucket. Deliberately NOT ring.HashString:
+// AEBucket maps a key to its bucket. Deliberately NOT ring.HashString:
 // partition membership is already a function of the ring hash, and
 // deriving buckets from the same value would correlate bucket occupancy
 // with partition assignment instead of spreading a partition's keys
-// uniformly across its own tree.
-func AESub(key string) int {
-	return int(fnvString(fnvOffset, key) % aeSubCount)
+// uniformly across its own digest.
+func AEBucket(key string) int {
+	return bucketOf(fnvString(fnvOffset, key))
 }
 
-// AEBucket maps a key to its top-level bucket (its sub-bucket's group).
-func AEBucket(key string) int {
-	return AESub(key) / AEFanout
+// bucketOf maps a key hash to its bucket: (hash mod 4096) / 64, the
+// layout digests have always used (4096 was a sub-bucket count), so
+// peers of every version agree on which bucket a key dirties.
+func bucketOf(keyHash uint64) int {
+	return int(keyHash % 4096 / AETop)
 }
 
 // aeEntryHash digests one (key, version, value) record, continuing from
-// keyHash = fnvString(fnvOffset, key) — the same value AESub buckets
+// keyHash = fnvString(fnvOffset, key) — the same value AEBucket buckets
 // by, so Apply hashes the key once. The version sits between key and
 // value with a fixed width, so no two distinct records can collide by
 // concatenation ambiguity.
@@ -80,46 +77,32 @@ func aeEntryHash(keyHash, ver uint64, val []byte) uint64 {
 	return mixBytes(mixWord(keyHash, ver), val)
 }
 
-// AETree is one partition's anti-entropy digest: aeSubCount sub-bucket
-// leaves, each holding the XOR of its entries' record hashes, plus the
-// AETop top-level buckets maintained as the XOR of their sub-leaves.
-// XOR makes every level order-independent and incrementally
-// maintainable — applying the same record twice removes it, so an
-// update is Apply(old) followed by Apply(new), O(1) per write. Every
-// Partition keeps one live, maintained by its single apply path.
+// AETree is one partition's anti-entropy digest: AETop leaves, each
+// holding the XOR of its bucket's record hashes. XOR makes the leaves
+// order-independent and incrementally maintainable — applying the same
+// record twice removes it, so an update is Apply(old) followed by
+// Apply(new), O(1) per write. Every Partition keeps one live,
+// maintained by its single apply path.
 type AETree struct {
-	sub [aeSubCount]uint64
 	top [AETop]uint64
 }
 
-// Apply XORs one record into its sub-bucket and the covering top
-// bucket: call once to add a record, again with identical arguments to
-// remove it.
+// Apply XORs one record into its bucket: call once to add a record,
+// again with identical arguments to remove it.
 func (t *AETree) Apply(key string, ver uint64, val []byte) {
 	kh := fnvString(fnvOffset, key)
-	h := aeEntryHash(kh, ver, val)
-	s := int(kh % aeSubCount)
-	t.sub[s] ^= h
-	t.top[s/AEFanout] ^= h
+	t.top[bucketOf(kh)] ^= aeEntryHash(kh, ver, val)
 }
 
-// Leaves returns the top-level hash vector (a copy; the piggybacked
-// wire payload).
+// Leaves returns the leaf vector (a copy; the transfer probe's wire
+// payload).
 func (t *AETree) Leaves() []uint64 {
 	out := make([]uint64, AETop)
 	copy(out, t.top[:])
 	return out
 }
 
-// SubLeaves returns the sub-leaf vector of one top-level bucket (a
-// copy; the KindAEDigest request payload).
-func (t *AETree) SubLeaves(top int) []uint64 {
-	out := make([]uint64, AEFanout)
-	copy(out, t.sub[top*AEFanout:(top+1)*AEFanout])
-	return out
-}
-
-// Root folds the top leaves pairwise up to the 8-byte root. The fold is
+// Root folds the leaves pairwise up to the 8-byte root. The fold is
 // order-sensitive (unlike the leaves), so two trees agreeing on the
 // root agree on the whole top vector with hash-level confidence.
 func (t *AETree) Root() uint64 {

@@ -27,6 +27,25 @@ func TestAEEntryHashGolden(t *testing.T) {
 	}
 }
 
+// TestAETreeRootGolden pins the bucket layout and the root fold: a
+// root crosses the wire on every anti-entropy epoch and a leaf vector
+// in every probe reply, so peers must agree on both bit for bit. The
+// values were computed by the two-level tree this digest replaced.
+func TestAETreeRootGolden(t *testing.T) {
+	for key, want := range map[string]int{"golden-0": 24, "k": 54, "": 12} {
+		if got := AEBucket(key); got != want {
+			t.Errorf("AEBucket(%q) = %d, want %d", key, got, want)
+		}
+	}
+	var tree AETree
+	for i := 0; i < 100; i++ {
+		tree.Apply(fmt.Sprintf("golden-%d", i), uint64(i)<<20|7, []byte(fmt.Sprintf("value-%d", i*i)))
+	}
+	if got := tree.Root(); got != 0x1a8ef098b5e38736 {
+		t.Errorf("root of the 100-record image = %#x, want 0x1a8ef098b5e38736", got)
+	}
+}
+
 // TestAETreeApplyTwiceCancels: a leaf is the XOR of its records, so
 // applying the same record again removes it — the property an
 // overwrite (old out, new in) rests on.

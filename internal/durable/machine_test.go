@@ -217,7 +217,7 @@ func TestModelEquivalence(t *testing.T) {
 				case 4:
 					got[j] = fmt.Sprint(pt.MergeSnapshot(chunk))
 				case 5:
-					got[j] = fmt.Sprint(pt.MergeResident(chunk))
+					got[j] = fmt.Sprint(pt.Wants(chunk))
 				case 6:
 					got[j] = fmt.Sprint(pt.BeginInbound(sid, uint32(1+sid%2), sid%3 == 0, ver, false))
 				case 7, 8:

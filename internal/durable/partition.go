@@ -110,9 +110,9 @@ type Partition struct {
 	sessions []Session
 	done     []uint64
 	// tree is the live anti-entropy digest, maintained by apply (O(1)
-	// per write). Reading it costs nothing, which is what lets top
-	// digests piggyback on every stats broadcast and transfer probes
-	// answer with a digest without rehashing the partition. While
+	// per write). Reading it costs nothing, which is what lets roots
+	// piggyback on the stats broadcast and transfer probes answer with
+	// a digest without rehashing the partition. While
 	// recovering is set apply leaves it alone and recover digests the
 	// final map once instead — one hash per surviving key rather than
 	// two per replayed record.
@@ -411,21 +411,6 @@ func (pt *Partition) MergeSnapshot(entries []Entry) error {
 	return pt.grant()
 }
 
-// MergeResident folds an entry block in only when the local content is
-// already authoritative — the anti-entropy repair path. Unlike
-// MergeSnapshot it never flips residency: "repairing" a non-resident
-// copy would bless partial data as a full one. applied is false when
-// the partition was not resident and nothing was touched.
-func (pt *Partition) MergeResident(entries []Entry) (merged int, applied bool, err error) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if !pt.resident {
-		return 0, false, nil
-	}
-	merged, err = pt.merge(entries)
-	return merged, true, err
-}
-
 // Drop discards the partition's data (migration victim, suicide): not
 // resident until another snapshot arrives. ResetEmpty restores the
 // authoritative empty state instead — the lost-data reseed, where every
@@ -616,20 +601,6 @@ func (pt *Partition) Get(key string) (val []byte, ver uint64, ok, resident bool)
 	return v.val, v.ver, ok, resident
 }
 
-// Lookup returns the entries stored for a batch of keys (the AE fetch
-// serving path), preserving request order; absent keys are skipped.
-func (pt *Partition) Lookup(keys []string) []Entry {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		if v, ok := pt.data[k]; ok {
-			out = append(out, Entry{Key: k, Ver: v.ver, Val: v.val})
-		}
-	}
-	return out
-}
-
 // sortedEntries flattens the records into ascending key order — the
 // canonical form snapshots and transfer sessions slice from. It is the
 // seam where a paged (larger-than-RAM) store would stream from the
@@ -696,30 +667,18 @@ func (pt *Partition) Wants(offer []Entry) []int {
 	return want
 }
 
-// Digest answers an anti-entropy comparison in O(1): residency and —
-// for resident partitions only — the live top digest. Non-resident
-// content is not authoritative (a partial tree would repair divergence
-// into existence), so no digest is offered; transfer planning reads the
-// physical digest through Probe instead.
-func (pt *Partition) Digest() (resident bool, leaves []uint64, root uint64) {
+// Root answers an anti-entropy round in O(1): residency and — for
+// resident partitions only — the live digest's root. Non-resident
+// content is not authoritative, so it publishes no root and takes part
+// in no round; transfer planning reads the physical digest through
+// Probe instead.
+func (pt *Partition) Root() (resident bool, root uint64) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if !pt.resident {
-		return false, nil, 0
+		return false, 0
 	}
-	return true, pt.tree.Leaves(), pt.tree.Root()
-}
-
-// SubLeaves reads the live sub-leaf vectors for a set of top-level
-// buckets under one lock acquisition.
-func (pt *Partition) SubLeaves(tops []int) [][]uint64 {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	subs := make([][]uint64, len(tops))
-	for i, b := range tops {
-		subs[i] = pt.tree.SubLeaves(b)
-	}
-	return subs
+	return true, pt.tree.Root()
 }
 
 // Stats returns the partition's size, residency and log counters.

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/durable"
@@ -9,18 +8,17 @@ import (
 )
 
 // RepairCost is one bytes-on-wire comparison row for rfhbench's repair
-// suite: what the pre-delta protocol would have shipped against what
-// the watermark/hierarchical protocol actually ships for the same
-// divergence, both measured from the real encoders (and, for
-// transfers, from real sessions on the wire).
+// suite: what a full snapshot ships against what planned sessions
+// actually ship for the same divergence, both measured from real
+// sessions on the wire.
 type RepairCost struct {
 	Name string `json:"name"`
 	// Keys is the partition's record count, Divergent how many of them
 	// the target/holder is missing or holds stale.
 	Keys      int `json:"keys"`
 	Divergent int `json:"divergent"`
-	// BaselineBytes is the pre-delta cost (full snapshot transfer, or
-	// flat 64-leaf digest + bucket diff), DeltaBytes the new protocol's.
+	// BaselineBytes is a full snapshot transfer's cost, DeltaBytes the
+	// planned sessions'.
 	BaselineBytes int64 `json:"baseline_bytes"`
 	DeltaBytes    int64 `json:"delta_bytes"`
 	// Ratio is BaselineBytes / DeltaBytes — "how many times fewer bytes
@@ -86,14 +84,32 @@ func newRepairFleet() (*repairFleet, error) {
 // marking or not — to completion and returns the bytes it put on the
 // wire.
 func (rf *repairFleet) ship(p, target int, mark bool) (int64, error) {
-	//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; rf.Close owns shutdown
 	src := rf.Node(0)
 	src.mu.RLock()
 	s := src.startTransferLocked(p, target, mark)
 	src.mu.RUnlock()
+	return rf.pump(src, s)
+}
+
+// aeShip runs the anti-entropy session of partition p from node src to
+// node target to completion and returns the bytes it put on the wire.
+func (rf *repairFleet) aeShip(src, p, target int) (int64, error) {
+	nd := rf.Node(src)
+	nd.mu.RLock()
+	nd.startAESessionLocked(p, target)
+	nd.mu.RUnlock()
+	nd.xmu.Lock()
+	s := nd.liveSessionXLocked(p, target, false, false)
+	nd.xmu.Unlock()
+	return rf.pump(nd, s)
+}
+
+// pump drives session s of node src to completion and returns the bytes
+// it put on the wire.
+func (rf *repairFleet) pump(src *Node, s *xferSession) (int64, error) {
 	rf.wireBytes = 0
 	if !src.pumpSession(s) {
-		return 0, fmt.Errorf("transfer of partition %d to node %d did not complete", p, target)
+		return 0, fmt.Errorf("transfer of partition %d to node %d did not complete", s.p, s.target)
 	}
 	return rf.wireBytes, nil
 }
@@ -234,105 +250,39 @@ func MeasureReinjectRepair(keys, divergent int) (RepairCost, error) {
 	return repairCost("transfer-reinject", keys, divergent, full, delta), nil
 }
 
-// MeasureAERepair prices one anti-entropy repair of `divergent` stale
-// records on a keys-record partition, flat against hierarchical, from
-// the real frame encoders:
-//
-//   - Flat (the pre-hierarchy protocol, encoders retained as the
-//     baseline): the holder ships its 64-leaf digest, the primary
-//     replies with a diff carrying EVERY record in the divergent
-//     buckets — ~1/64th of the partition per stale key, values and
-//     all.
-//   - Hierarchical: the primary's piggybacked top digest (the same 64
-//     leaves — detection costs both sides alike), the holder's
-//     sub-leaf vectors for the divergent tops, the primary's per-key
-//     (key, version) lists for the divergent sub-buckets, and a fetch
-//     that moves only the stale records' values.
-//
-// Both sums start at divergence detection and end with every byte a
-// repair needs on the wire, so the ratio is the protocols' whole cost
-// gap, not a flattering slice of it.
+// MeasureAERepair prices one anti-entropy round on a keys-record
+// partition whose holder is `divergent` records stale: the primary
+// overwrites that many of its keys at newer versions, and both AE
+// sessions of the round — primary to holder, which ships the new
+// versions, and holder to primary, which ships nothing — run over the
+// tapped loopback wire. Every frame of both counts, offer rounds
+// included. The baseline is the full snapshot, as in the transfer
+// rows. The fleet is in-process and deterministic, so a session that
+// fails to complete is a bug in the protocol and panics.
 func MeasureAERepair(keys, divergent int) RepairCost {
-	entries := repairEntries(keys)
-	primary := buildAETree(entries)
-
-	// The holder's copy of the first `divergent` records is stale.
-	holder := buildAETree(entries)
-	stale := make([]durable.Entry, divergent)
-	for i := range stale {
-		old := entries[i]
-		holder.Apply(old.Key, old.Ver, old.Val) // XOR-remove the current record
-		stale[i] = durable.Entry{Key: old.Key, Ver: old.Ver, Val: []byte("stale-value")}
-		holder.Apply(stale[i].Key, stale[i].Ver, stale[i].Val)
+	rf, err := newRepairFleet()
+	if err != nil {
+		panic(err)
 	}
+	defer rf.Close()
 
-	hLeaves, pLeaves := holder.Leaves(), primary.Leaves()
-	var tops []int
-	for i := range pLeaves {
-		if hLeaves[i] != pLeaves[i] {
-			tops = append(tops, i)
-		}
+	const p, holder = 0, 1
+	full, err := rf.fullShip(p, holder, repairEntries(keys))
+	if err == nil {
+		err = rf.Node(0).store.Part(p).MergeSnapshot(freshEntries(keys, divergent, true))
 	}
-
-	// Flat: digest request + full-bucket diff reply.
-	var flatDiff []durable.Entry
-	for _, e := range entries {
-		for _, b := range tops {
-			if aeBucket(e.Key) == b {
-				flatDiff = append(flatDiff, e)
-				break
-			}
-		}
+	var heal, backflow int64
+	if err == nil {
+		heal, err = rf.aeShip(0, p, holder)
 	}
-	flat := int64(len(appendAEDigest(nil, hLeaves, holder.Root()))) +
-		int64(len(appendAEDiff(nil, tops, flatDiff)))
-
-	// Hierarchical: piggybacked top digest, sub-leaf vectors for the
-	// divergent tops, keylists for the divergent sub-buckets, and a
-	// fetch of exactly the stale keys.
-	subs := make([][]uint64, len(tops))
-	var subIdx []int
-	var lists [][]aeKeyVer
-	var fetch []string
-	for i, b := range tops {
-		subs[i] = holder.SubLeaves(b)
-		pSubs := primary.SubLeaves(b)
-		for j := range pSubs {
-			if subs[i][j] == pSubs[j] {
-				continue
-			}
-			sub := b*aeFanout + j
-			subIdx = append(subIdx, sub)
-			var list []aeKeyVer
-			for _, e := range entries {
-				if aeSub(e.Key) == sub {
-					list = append(list, aeKeyVer{key: e.Key, ver: e.Ver})
-				}
-			}
-			lists = append(lists, list)
-		}
+	if err == nil {
+		backflow, err = rf.aeShip(holder, p, 0)
 	}
-	for _, s := range stale {
-		fetch = append(fetch, s.Key)
+	if err != nil {
+		panic(err)
 	}
-	fetched := entries[:divergent]
-	hier := int64(len(appendAEDigest(nil, pLeaves, primary.Root()))) +
-		int64(len(appendAESub(nil, tops, subs))) +
-		int64(len(appendAEKeylists(nil, subIdx, lists))) +
-		int64(len(appendAEKeys(nil, fetch))) +
-		int64(len(appendEntries(nil, fetched)))
-
-	return repairCost("ae-repair", keys, divergent, flat, hier)
-}
-
-// appendAEDiff encodes the flat (PR 9) digest-reply shape: the
-// divergent bucket indexes, then the replier's entries for those
-// buckets as a standard entry block. The live protocol no longer ships
-// this frame; MeasureAERepair prices it as the flat baseline.
-func appendAEDiff(dst []byte, buckets []int, entries []durable.Entry) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
-	for _, b := range buckets {
-		dst = binary.AppendUvarint(dst, uint64(b))
+	if st := rf.Node(0).AEStats(); st.Repairs != int64(divergent) {
+		panic(fmt.Sprintf("AE round delivered %d entries for %d stale", st.Repairs, divergent))
 	}
-	return appendEntries(dst, entries)
+	return repairCost("ae-repair", keys, divergent, full, heal+backflow)
 }

@@ -101,13 +101,15 @@ type Config struct {
 	TransferLeaseEpochs int
 
 	// AEInterval is the anti-entropy cadence in epochs: on every
-	// AEInterval-th RunEpoch, each resident partition primary exchanges
-	// Merkle digests with the partition's other holders and repairs
-	// divergent key ranges through version-gated merges, so holder drift
-	// heals without waiting for a quorum read to touch the key. 0 (the
-	// default) disables background anti-entropy — read-repair and
-	// replica shipping stay the only healing paths, which is also what
-	// the byte-identical memory-mode chaos trajectories require.
+	// AEInterval-th epoch each resident holder of a co-held partition
+	// publishes its digest root on the stats broadcast, and where the
+	// primary's and a holder's roots differ each opens a non-marking
+	// transfer session toward the other, which ships only what its
+	// target lacks. Holder drift thus heals without waiting for a quorum
+	// read to touch the key. 0 (the default) disables background
+	// anti-entropy — read-repair and replica shipping stay the only
+	// healing paths, which is also what the byte-identical memory-mode
+	// chaos trajectories require.
 	AEInterval int
 
 	// SuspectAfter is how many epochs a peer may stay silent before it

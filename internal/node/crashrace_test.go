@@ -6,20 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/transport"
 )
 
 // TestCrashRestartRacesReadsAndAE cycles one node through Crash/Restart
 // while R=2 quorum reads, W=2 writes, per-epoch anti-entropy rounds and
-// direct AE digest/fetch requests run against the fleet. Crash and
-// Restart swap the node's store under n.mu, so every path that reaches
-// a partition must take its pointer while holding the lock; under -race
-// an unlocked re-read on the AE pull, AE handler or read-repair paths
-// is reported here. Such a re-read only races when the crash lands
-// between two reads of one walk (each read is followed by an operation
-// that the crash's store close orders), so the writes keep the AE
-// digests diverging — a divergent pull walks the tree with a primary
-// round trip between its reads — and every round starts from a fresh
+// direct probe/offer requests (the target side of an AE session) run
+// against the fleet. Crash and Restart swap the node's store under
+// n.mu, so every path that reaches a partition must take its pointer
+// while holding the lock; under -race an unlocked re-read on the AE
+// round, transfer handler or read-repair paths is reported here. Such a
+// re-read only races when the crash lands between two reads of one
+// exchange (each read is followed by an operation that the crash's
+// store close orders), so the writes keep the AE roots diverging — a
+// divergent round opens sessions that probe, offer and ship with round
+// trips between their reads — and every round starts from a fresh
 // fleet, where the victim still co-holds its seed replicas.
 func TestCrashRestartRacesReadsAndAE(t *testing.T) {
 	for round := 0; round < 10; round++ {
@@ -85,20 +87,22 @@ func crashRaceRound(t *testing.T, round int) {
 	loop(func(r int) { // quorum reads, the victim among the entry points
 		_, _, _ = nodes[r%len(nodes)].Get(keys[r%len(keys)])
 	})
-	loop(func(r int) { // writes that keep the AE digests diverging
+	loop(func(r int) { // writes that keep the AE roots diverging
 		_ = nodes[(r+2)%len(nodes)].Put(keys[r%len(keys)], []byte(fmt.Sprint(r)))
 	})
-	sub := appendAESub(nil, []int{0}, [][]uint64{make([]uint64, aeFanout)})
-	loop(func(r int) { // the primary side of AE rounds, served by the victim
-		p := uint32(r % len(keys))
-		_, _ = nodes[victim].Handle(f.Addr(0), &transport.Message{Kind: KindAEDigest, Partition: p, Value: sub})
-		_, _ = nodes[victim].Handle(f.Addr(0), &transport.Message{Kind: KindAEFetch, Partition: p, Value: appendAEKeys(nil, keys[p:p+1])})
+	offer := appendEntries(nil, []durable.Entry{{Key: keys[0], Ver: 1}})
+	loop(func(r int) { // the target side of AE sessions, served by the victim
+		p, sid := uint32(r%len(keys)), uint64(r)
+		_, _ = nodes[victim].Handle(f.Addr(0), &transport.Message{Kind: KindXferCursor, Partition: p, Session: sid})
+		_, _ = nodes[victim].Handle(f.Addr(0), &transport.Message{Kind: KindXferOffer, Partition: p, Session: sid, Value: offer})
 	})
 
 	waitFor := func(what string, cond func() bool) {
 		deadline := time.Now().Add(10 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
+				close(stop) // the loops would outlive the test and skew the next one's allocation counts
+				wg.Wait()
 				t.Fatalf("round %d: %s", round, what)
 			}
 			time.Sleep(100 * time.Microsecond)

@@ -72,118 +72,11 @@ func TestXferWantRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAESubRoundTrip(t *testing.T) {
-	tops := []int{0, 5, aeTop - 1}
-	subs := make([][]uint64, len(tops))
-	for i := range subs {
-		subs[i] = make([]uint64, aeFanout)
-		for j := range subs[i] {
-			subs[i][j] = uint64(i*aeFanout+j) * 0x9E3779B97F4A7C15
-		}
-	}
-	gt, gs, err := decodeAESub(appendAESub(nil, tops, subs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gt, tops) || !reflect.DeepEqual(gs, subs) {
-		t.Fatalf("round trip mismatch: tops %v subs[0][0]=%x", gt, gs[0][0])
-	}
-	if gt, gs, err := decodeAESub(appendAESub(nil, nil, nil)); err != nil || len(gt) != 0 || len(gs) != 0 {
-		t.Fatalf("empty sub request: %v %v %v", gt, gs, err)
-	}
-}
-
-func TestDecodeAESubRejectsCorrupt(t *testing.T) {
-	good := appendAESub(nil, []int{1}, [][]uint64{make([]uint64, aeFanout)})
-	cases := map[string][]byte{
-		"truncated leaves": good[:len(good)-1],
-		"trailing":         append(append([]byte{}, good...), 0),
-		"bucket too large": binary.AppendUvarint(binary.AppendUvarint(nil, 1), aeTop),
-		"count bomb":       binary.AppendUvarint(nil, 1<<20),
-	}
-	for name, buf := range cases {
-		if _, _, err := decodeAESub(buf); err == nil {
-			t.Errorf("%s: corrupt AE sub-digest accepted", name)
-		}
-	}
-}
-
-func TestAEKeylistsRoundTrip(t *testing.T) {
-	subIdx := []int{3, 700, aeSubCount - 1}
-	lists := [][]aeKeyVer{
-		{{key: "a", ver: 1}, {key: "bb", ver: 1 << 40}},
-		{}, // empty list still rides: "primary has nothing here"
-		{{key: "", ver: 0}},
-	}
-	gi, gl, err := decodeAEKeylists(appendAEKeylists(nil, subIdx, lists))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gi, subIdx) {
-		t.Fatalf("sub indexes round-tripped to %v", gi)
-	}
-	if len(gl) != len(lists) || len(gl[0]) != 2 || len(gl[1]) != 0 || len(gl[2]) != 1 {
-		t.Fatalf("lists round-tripped to %v", gl)
-	}
-	if gl[0][1] != (aeKeyVer{key: "bb", ver: 1 << 40}) {
-		t.Fatalf("pair round-tripped to %+v", gl[0][1])
-	}
-}
-
-func TestDecodeAEKeylistsRejectsCorrupt(t *testing.T) {
-	good := appendAEKeylists(nil, []int{2}, [][]aeKeyVer{{{key: "k", ver: 9}}})
-	cases := map[string][]byte{
-		"truncated ver":  good[:len(good)-1],
-		"trailing":       append(append([]byte{}, good...), 0),
-		"sub too large":  binary.AppendUvarint(binary.AppendUvarint(nil, 1), aeSubCount),
-		"key bomb":       {1, 2, 1, 0xFF},
-		"count bomb":     binary.AppendUvarint(nil, 1<<40),
-		"missing counts": {5},
-	}
-	for name, buf := range cases {
-		if _, _, err := decodeAEKeylists(buf); err == nil {
-			t.Errorf("%s: corrupt AE keylists accepted", name)
-		}
-	}
-}
-
-func TestAEKeysRoundTrip(t *testing.T) {
-	keys := []string{"", "k", "a-much-longer-key"}
-	got, err := decodeAEKeys(appendAEKeys(nil, keys))
-	if err != nil || !reflect.DeepEqual(got, keys) {
-		t.Fatalf("round trip: %v err=%v", got, err)
-	}
-	if got, err := decodeAEKeys(appendAEKeys(nil, nil)); err != nil || len(got) != 0 {
-		t.Fatalf("empty key list: %v err=%v", got, err)
-	}
-}
-
-func TestDecodeAEKeysRejectsCorrupt(t *testing.T) {
-	good := appendAEKeys(nil, []string{"key"})
-	cases := map[string][]byte{
-		"truncated key": good[:len(good)-1],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"length bomb":   {1, 0xFF},
-	}
-	for name, buf := range cases {
-		if _, err := decodeAEKeys(buf); err == nil {
-			t.Errorf("%s: corrupt AE key list accepted", name)
-		}
-	}
-}
-
 func TestStatsBlobDigestsRoundTrip(t *testing.T) {
-	leaves := make([]uint64, aeTop)
-	for i := range leaves {
-		leaves[i] = uint64(i + 1)
-	}
 	in := &statsBlob{
 		counters: []partitionCounters{{partition: 1, origin: 2}},
 		claims:   []placementClaim{{partition: 1, primary: 0, replicas: []int{0, 2}}},
-		digests: []aePartitionDigest{
-			{partition: 1, root: 77, leaves: leaves},
-			{partition: 5, root: 0, leaves: make([]uint64, aeTop)},
-		},
+		roots:    []aeRoot{{partition: 1, root: 77}, {partition: 5, root: 0}, {partition: 7, root: 1<<64 - 1}},
 	}
 	out, err := decodeStats(appendStats(nil, in), 8, 3)
 	if err != nil {
@@ -192,61 +85,17 @@ func TestStatsBlobDigestsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 	}
-	// Corrupt digest sections must be rejected, not truncated.
+	// Corrupt root sections must be rejected, not truncated.
 	good := appendStats(nil, in)
 	for name, buf := range map[string][]byte{
-		"truncated digest": good[:len(good)-3],
-		"trailing":         append(append([]byte{}, good...), 9),
+		"truncated root":      good[:len(good)-3],
+		"trailing":            append(append([]byte{}, good...), 9),
+		"count bomb":          binary.AppendUvarint([]byte{0, 0}, 1<<20),
+		"partition too large": binary.BigEndian.AppendUint64([]byte{0, 0, 1, 8}, 1),
 	} {
 		if _, err := decodeStats(buf, 8, 3); err == nil {
-			t.Errorf("%s: corrupt stats digests accepted", name)
+			t.Errorf("%s: corrupt stats roots accepted", name)
 		}
-	}
-}
-
-// --- Two-level tree localization --------------------------------------
-
-// TestAETreeSubLocalization pins the hierarchical walk the pull
-// protocol depends on: a single divergent record dirties exactly one
-// top-level bucket, and within it exactly one sub-bucket — the one the
-// key hashes to — so reconciliation narrows 4096 sub-buckets down to
-// one in two digest comparisons.
-func TestAETreeSubLocalization(t *testing.T) {
-	a, b := NewAETree(), NewAETree()
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("k-%d", i)
-		a.Apply(k, uint64(i+1), []byte("v"))
-		b.Apply(k, uint64(i+1), []byte("v"))
-	}
-	if a.Root() != b.Root() {
-		t.Fatal("identical record sets disagree at the root")
-	}
-	const k = "k-3"
-	b.Apply(k, 4, []byte("v"))      // XOR-remove the shared record
-	b.Apply(k, 99, []byte("newer")) // replace with a divergent one
-	if a.Root() == b.Root() {
-		t.Fatal("divergent record sets agree at the root")
-	}
-	la, lb := a.Leaves(), b.Leaves()
-	var tops []int
-	for i := range la {
-		if la[i] != lb[i] {
-			tops = append(tops, i)
-		}
-	}
-	if len(tops) != 1 || tops[0] != aeBucket(k) {
-		t.Fatalf("divergent tops = %v, want exactly [%d]", tops, aeBucket(k))
-	}
-	sa, sb := a.SubLeaves(tops[0]), b.SubLeaves(tops[0])
-	var diff []int
-	for j := range sa {
-		if sa[j] != sb[j] {
-			diff = append(diff, j)
-		}
-	}
-	if len(diff) != 1 || tops[0]*aeFanout+diff[0] != aeSub(k) {
-		t.Fatalf("divergent subs in bucket %d = %v, want the sub %d hashes to (%d)",
-			tops[0], diff, aeSub(k), aeSub(k)%aeFanout)
 	}
 }
 

@@ -88,19 +88,6 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession}
 		case KindXferDone:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Session: dispatchSession}
-		case KindAEDigest:
-			// An empty tree's sub-digest request for top bucket 0: the
-			// resident primary answers with the (key, version) lists of
-			// whatever sub-buckets its seeded key dirties there.
-			empty := NewAETree()
-			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(),
-				Value: appendAESub(nil, []int{0}, [][]uint64{empty.SubLeaves(0)})}
-		case KindAERepair:
-			rep := appendEntries(nil, []durable.Entry{{Key: "ae-key", Val: []byte("av"), Ver: 1}})
-			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(), Value: rep}
-		case KindAEFetch:
-			msg = &transport.Message{Kind: kind, Partition: uint32(p), Epoch: nd.Epoch(),
-				Value: appendAEKeys(nil, []string{key})}
 		case KindXferOffer:
 			// An offer of the seeded key at a version above the primary's:
 			// the target wants it.

@@ -60,14 +60,6 @@ type (
 		mark, delta bool
 		chunk       []durable.Entry
 	}
-	fuzzAESub struct {
-		tops []int
-		subs [][]uint64
-	}
-	fuzzAEKeylists struct {
-		subIdx []int
-		lists  [][]aeKeyVer
-	}
 )
 
 // wireBlobs bounds decodeStats and decodeAckSet as the round-trip tests
@@ -76,12 +68,9 @@ var wireBlobs = []func(*testing.T, []byte){
 	blobCodec("stats",
 		func(b []byte) (*statsBlob, error) { return decodeStats(b, 8, 3) },
 		func(s *statsBlob) int {
-			n := len(s.counters) + len(s.claims) + len(s.digests)
+			n := len(s.counters) + len(s.claims) + len(s.roots)
 			for _, c := range s.claims {
 				n += len(c.replicas)
-			}
-			for _, d := range s.digests {
-				n += len(d.leaves)
 			}
 			return n
 		},
@@ -104,35 +93,6 @@ var wireBlobs = []func(*testing.T, []byte){
 		func(b []byte) ([]int, error) { return decodeXferWant(b, 1<<16) },
 		func(want []int) int { return len(want) },
 		func(want []int) []byte { return appendXferWant(nil, want) }),
-	blobCodec("ae-sub",
-		func(b []byte) (fuzzAESub, error) {
-			tops, subs, err := decodeAESub(b)
-			return fuzzAESub{tops, subs}, err
-		},
-		func(x fuzzAESub) int {
-			n := len(x.tops)
-			for _, s := range x.subs {
-				n += len(s)
-			}
-			return n
-		},
-		func(x fuzzAESub) []byte { return appendAESub(nil, x.tops, x.subs) }),
-	blobCodec("ae-keylists",
-		func(b []byte) (fuzzAEKeylists, error) {
-			subIdx, lists, err := decodeAEKeylists(b)
-			return fuzzAEKeylists{subIdx, lists}, err
-		},
-		func(x fuzzAEKeylists) int {
-			n := len(x.subIdx)
-			for _, l := range x.lists {
-				n += len(l)
-			}
-			return n
-		},
-		func(x fuzzAEKeylists) []byte { return appendAEKeylists(nil, x.subIdx, x.lists) }),
-	blobCodec("ae-keys", decodeAEKeys,
-		func(keys []string) int { return len(keys) },
-		func(keys []string) []byte { return appendAEKeys(nil, keys) }),
 	blobCodec("entries", decodeEntries,
 		func(entries []durable.Entry) int { return len(entries) },
 		func(entries []durable.Entry) []byte { return appendEntries(nil, entries) }),
@@ -149,10 +109,6 @@ func wireBlobSeeds() [][]byte {
 	for i := range leaves {
 		leaves[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
-	subs := make([][]uint64, 3)
-	for i := range subs {
-		subs[i] = leaves[:aeFanout]
-	}
 	return [][]byte{
 		appendStats(nil, &statsBlob{}),
 		appendStats(nil, &statsBlob{
@@ -164,7 +120,7 @@ func wireBlobSeeds() [][]byte {
 				{partition: 0, primary: 1, replicas: []int{0, 1, 2}},
 				{partition: 7, primary: 2, replicas: []int{2}},
 			},
-			digests: []aePartitionDigest{{partition: 1, root: 77, leaves: leaves}},
+			roots: []aeRoot{{partition: 1, root: 77}, {partition: 5, root: 1<<64 - 1}},
 		}),
 		appendXferInfo(nil, leaves, 42),
 		// A target holding nothing — how a memory-mode rejoiner or a
@@ -177,13 +133,14 @@ func wireBlobSeeds() [][]byte {
 		appendEntries(nil, []durable.Entry{{Key: "alpha", Ver: 7}, {Key: "beta", Ver: 1 << 40}}),
 		appendXferWant(nil, []int{0, 3, 300}),
 		appendXferWant(nil, nil),
-		appendAESub(nil, []int{0, 5, aeTop - 1}, subs),
-		appendAEKeylists(nil, []int{3, 700, aeSubCount - 1}, [][]aeKeyVer{
-			{{key: "a", ver: 1}, {key: "bb", ver: 1 << 40}},
-			{},
-			{{key: "", ver: 0}},
+		// Stats blobs whose root section is empty, holds one root, and
+		// declares far more roots than it carries.
+		appendStats(nil, &statsBlob{
+			counters: []partitionCounters{{partition: 3, served: 1}},
+			claims:   []placementClaim{{partition: 3, primary: 0, replicas: []int{0, 1}}},
 		}),
-		appendAEKeys(nil, []string{"", "k", "a-much-longer-key"}),
+		appendStats(nil, &statsBlob{roots: []aeRoot{{partition: 7, root: 0x9E3779B97F4A7C15}}}),
+		binary.AppendUvarint([]byte{0, 0}, 1<<20),
 		appendEntries(nil, []durable.Entry{
 			{Key: "alpha", Val: []byte("1"), Ver: 7},
 			{Key: "beta", Val: []byte{}, Ver: 0},

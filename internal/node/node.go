@@ -124,13 +124,13 @@ type Node struct {
 	xseq   uint64
 	xstats TransferStats
 
-	// Anti-entropy counters (see ae.go). Atomic for the same reason as
-	// syncFails: the digest exchange fans out outside n.mu.
-	aeRoundsN  atomic.Int64
-	aeSyncedN  atomic.Int64
-	aeRepairsN atomic.Int64
-	aeHealedN  atomic.Int64
-	aePayloadN atomic.Int64
+	// Anti-entropy counters (see ae.go). Atomic because AE sessions
+	// book theirs under xmu alone, not n.mu.
+	aeRoundsN   atomic.Int64
+	aeSyncedN   atomic.Int64
+	aeSessionsN atomic.Int64
+	aeRepairsN  atomic.Int64
+	aePayloadN  atomic.Int64
 }
 
 // outOp is one data-movement message to perform after the view update,
@@ -378,12 +378,6 @@ func (n *Node) Handle(from string, req *transport.Message) (*transport.Message, 
 		return n.handleXferDone(req)
 	case KindXferOffer:
 		return n.handleXferOffer(req)
-	case KindAEDigest:
-		return n.handleAEDigest(req)
-	case KindAERepair:
-		return n.handleAERepair(req)
-	case KindAEFetch:
-		return n.handleAEFetch(req)
 	case KindDrop:
 		return n.handleDrop(req)
 	case KindStats:
@@ -1031,11 +1025,11 @@ func (n *Node) FlushEpoch() error {
 		}
 		blob.claims = append(blob.claims, cl)
 	}
-	// Piggyback the anti-entropy digests on the stats broadcast: on
-	// AEInterval boundaries each partition this node primaries (and
-	// co-holds) contributes its O(1) live tree digest, and holders pull
-	// repairs from it during RunEpoch. No dedicated digest frames.
-	blob.digests = n.aeDigestsLocked()
+	// Piggyback the anti-entropy roots on the stats broadcast: on
+	// AEInterval boundaries each co-held partition this node holds
+	// resident contributes its O(1) live digest root, which RunEpoch
+	// compares. No dedicated digest frames.
+	blob.roots = n.aeRootsLocked()
 	n.pending[n.self] = blob
 	epoch := n.epoch
 	enc := appendStats(nil, blob)
@@ -1137,10 +1131,10 @@ func (n *Node) RunEpoch() error {
 		ops = n.applyDecisionLocked(dec)
 	}
 
-	// Collect anti-entropy pull plans from the digests peers piggybacked
-	// on this epoch's stats blobs — before the pending/nextPend swap
-	// discards them.
-	pulls := n.aePullPlansLocked()
+	// Open anti-entropy sessions where the roots peers piggybacked on
+	// this epoch's stats blobs disagree with this node's — before the
+	// pending/nextPend swap discards them. The pump below runs them.
+	n.aeSessionsLocked()
 	n.pending, n.nextPend = n.nextPend, n.pending
 	for i := range n.nextPend {
 		n.nextPend[i] = nil
@@ -1151,14 +1145,10 @@ func (n *Node) RunEpoch() error {
 	// Data movement happens outside the lock: the loopback transport
 	// delivers synchronously, and the receiving node takes its own lock.
 	n.sendOps(ops)
-	// Then drive the transfer sessions — every replica ship is one — a
-	// round (and age their leases). A node with no sessions in flight
-	// sends nothing here.
+	// Then drive the transfer sessions — every replica ship and every
+	// anti-entropy repair is one — a round (and age their leases). A
+	// node with no sessions in flight sends nothing here.
 	n.pumpTransfers()
-	// Finally the anti-entropy pull rounds against the primaries whose
-	// piggybacked digests disagree with this node's — empty except on
-	// AEInterval boundaries.
-	n.runAEPulls(pulls)
 	return nil
 }
 

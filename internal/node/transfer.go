@@ -10,7 +10,7 @@ import (
 
 // Replica transfers (the zrepl step model): every partition ship —
 // replicate and migrate decisions, the StatusRetry heal, rejoin
-// re-injection — is a session. The source freezes a snapshot, slices
+// re-injection, anti-entropy repair (ae.go) — is a session. The source freezes a snapshot, slices
 // it into chunks, and drives probe → begin → chunk* → done exchanges.
 // A plan of at most one chunk is probe → begin: the begin carries the
 // chunk and the target closes the session before it answers, so a
@@ -43,8 +43,8 @@ import (
 // A plan against an empty target is therefore the full snapshot, and
 // the watermark needs no trust: any record it falsely claims dirties
 // its bucket. A session marks the target resident exactly when it was
-// opened to (decision ships and heals do, rejoin re-injection does
-// not), whatever its plan: a completed session only ever adds to the
+// opened to (decision ships and heals do, rejoin re-injection and
+// anti-entropy do not), whatever its plan: a completed session only ever adds to the
 // probed content, and that content only grows until the session is
 // invalidated. Invalidation is a drop, a reset or a restart at the
 // target; the target then answers StatusNotFound, and the source
@@ -87,7 +87,9 @@ const (
 // invalidated plans again); ChunksSent counts the chunks actually
 // shipped (a one-chunk begin's included), BytesSent their payload
 // bytes plus the offer round's blobs in both directions, and BytesSaved
-// the chunk payload bytes planning avoided shipping.
+// the chunk payload bytes planning avoided shipping. An anti-entropy
+// session's chunks and bytes count on AEStats instead; every other
+// counter includes it.
 type TransferStats struct {
 	Started       int64 `json:"started"`
 	Completed     int64 `json:"completed"`
@@ -109,6 +111,7 @@ type xferSession struct {
 	p      int
 	target int
 	mark   bool               // completion marks the target resident
+	ae     bool               // an anti-entropy session: its bytes count on AEStats
 	part   *durable.Partition // the partition the snapshot (and its hold) came from
 
 	planned bool // a probe reply was planned from; chunks and maxVer are set
@@ -144,14 +147,31 @@ func (n *Node) startTransferLocked(p, target int, mark bool) *xferSession {
 	return n.sessionXLocked(p, target, mark, true)
 }
 
-// sessionXLocked returns the pair's live session — one a pump holds
-// only if reuseBusy — or opens one. Callers hold n.mu and n.xmu.
+// sessionXLocked returns the pair's live session or opens one (see
+// liveSessionXLocked). Callers hold n.mu and n.xmu.
 func (n *Node) sessionXLocked(p, target int, mark, reuseBusy bool) *xferSession {
+	if s := n.liveSessionXLocked(p, target, mark, reuseBusy); s != nil {
+		return s
+	}
+	return n.openSessionXLocked(p, target, mark)
+}
+
+// liveSessionXLocked returns the pair's live session that serves a
+// ship with this mark — a marking ship never completes through a
+// session that leaves its target non-resident — and that no pump holds
+// unless reuseBusy, or nil. Callers hold n.xmu.
+func (n *Node) liveSessionXLocked(p, target int, mark, reuseBusy bool) *xferSession {
 	for _, s := range n.xfers {
-		if s.p == p && s.target == target && (reuseBusy || !s.busy) {
+		if s.p == p && s.target == target && (s.mark || !mark) && (reuseBusy || !s.busy) {
 			return s
 		}
 	}
+	return nil
+}
+
+// openSessionXLocked opens a session of partition p toward target and
+// takes its compaction hold. Callers hold n.mu and n.xmu.
+func (n *Node) openSessionXLocked(p, target int, mark bool) *xferSession {
 	part := n.store.Part(p)
 	part.Hold()
 	n.xseq++
@@ -192,9 +212,22 @@ func (n *Node) planSession(s *xferSession, addr string, watermark uint64, info [
 	} else {
 		n.xstats.FullSessions++
 	}
-	n.xstats.BytesSent += roundBytes
+	n.bookSentXLocked(s, 0, 0, roundBytes)
 	n.xmu.Unlock()
 	return true
+}
+
+// bookSentXLocked counts what a session put on the wire: an AE
+// session's entries and bytes on AEStats, any other's chunks and bytes
+// on TransferStats, so each byte is counted once. Callers hold n.xmu.
+func (n *Node) bookSentXLocked(s *xferSession, chunks, entries, bytes int64) {
+	if s.ae {
+		n.aeRepairsN.Add(entries)
+		n.aePayloadN.Add(bytes)
+		return
+	}
+	n.xstats.ChunksSent += chunks
+	n.xstats.BytesSent += bytes
 }
 
 // filterPlan keeps the entries a target lacks, given its watermark and
@@ -448,7 +481,7 @@ func (n *Node) pumpClaimed(s *xferSession) bool {
 
 	addr := n.peerAddr(s.target)
 	completed, resumed := false, false
-	sent, sentBytes := int64(0), int64(0)
+	sent, sentEntries, sentBytes := int64(0), int64(0), int64(0)
 	// An unplanned session probes to plan; an interrupted one probes
 	// first too, to learn where the target's cursor stands (it may have
 	// applied a chunk whose ack was lost, recovered its cursor across a
@@ -480,6 +513,12 @@ walk:
 				}
 				plans++
 				planned, begun, next = true, false, 0
+				if !s.mark && len(s.chunks) == 0 && s.maxVer <= resp.Version {
+					// Nothing to ship, no watermark to raise and no
+					// residency to grant: done without a begin.
+					completed = true
+					break walk
+				}
 				continue
 			case transport.StatusOK:
 				if !planned {
@@ -528,6 +567,7 @@ walk:
 			}
 			if total == 1 {
 				sent++
+				sentEntries += int64(len(only))
 				sentBytes += int64(encodedEntriesLen(only))
 			}
 			begun = true
@@ -558,6 +598,7 @@ walk:
 				break
 			}
 			sent++
+			sentEntries += int64(len(s.chunks[next]))
 			sentBytes += int64(len(payload))
 			if resp.Cursor == xferComplete {
 				completed = true
@@ -597,8 +638,7 @@ walk:
 	s.busy = false
 	s.planned, s.begun, s.next = planned, begun, next
 	s.interrupted = !completed
-	n.xstats.ChunksSent += sent
-	n.xstats.BytesSent += sentBytes
+	n.bookSentXLocked(s, sent, sentEntries, sentBytes)
 	if resumed {
 		n.xstats.Resumed++
 	}

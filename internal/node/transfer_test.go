@@ -390,3 +390,98 @@ func TestShipPartitionBypassesBusySession(t *testing.T) {
 		t.Errorf("stats %+v, want the held session and the heal's own, the heal's completed", st)
 	}
 }
+
+// TestMarkingShipDoesNotReuseNonMarkingSession: a decision ship or a
+// StatusRetry heal that finds the pair's live session opened without
+// marking (re-injection, anti-entropy) must not complete through it.
+// That session leaves the target non-resident, yet the ship would
+// report success — for the heal a durability ack, while the holder keeps
+// refusing syncs.
+func TestMarkingShipDoesNotReuseNonMarkingSession(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ship func(src *Node, p, target int) bool
+	}{
+		{"TransferPartition", func(src *Node, p, target int) bool { return src.TransferPartition(p, target) }},
+		{"shipPartition", func(src *Node, p, target int) bool { return src.shipPartition(p, target, 0) }},
+	} {
+		h := newHarness(t, "loopback", 3, transferTestConfig())
+		src, dst := h.nodes[0], h.nodes[1]
+		const p = 2
+		seedPartition(t, src, p, 3)
+		dst.store.Part(p).Drop()
+		src.mu.RLock()
+		src.startTransferLocked(p, 1, false)
+		src.mu.RUnlock()
+
+		if !tc.ship(src, p, 1) {
+			t.Fatalf("%s: ship did not complete", tc.name)
+		}
+		if !dst.store.Part(p).Stats().Resident {
+			t.Errorf("%s: completed through the non-marking session; target not resident", tc.name)
+		}
+	}
+}
+
+// TestEmptyNonMarkingPlanSendsNoBegin: a session that marks nothing and
+// finds the target already holding everything it would ship — an AE
+// mismatch that settled by itself, a re-injection the holders are past —
+// completes at planning. Its requests are the probe, plus the offer
+// round when a bucket diverges, and no begin; its hold is released at
+// once.
+func TestEmptyNonMarkingPlanSendsNoBegin(t *testing.T) {
+	cases := []struct {
+		name  string
+		newer bool // the target holds one key at a newer version
+		want  []uint8
+	}{
+		{"identical", false, []uint8{KindXferCursor}},
+		{"target newer", true, []uint8{KindXferCursor, KindXferOffer}},
+	}
+	for _, tc := range cases {
+		var sent []uint8
+		f, err := NewFleetWrapped(3, testConfig(), func(i int, tr transport.Transport) transport.Transport {
+			return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
+				if i == 0 {
+					sent = append(sent, m.Kind)
+				}
+				return transport.FaultDeliver
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		//lint:ignore rfhlint/closecheck Node borrows the fleet's slot; f.Close owns shutdown
+		src, dst := f.Node(0), f.Node(1)
+		const p = 0
+		entries := seedPartition(t, src, p, 3)
+		if err := dst.store.Part(p).MergeSnapshot(entries); err != nil {
+			t.Fatal(err)
+		}
+		if tc.newer {
+			e := entries[0]
+			e.Ver, e.Val = 1<<40, []byte("newer")
+			if err := dst.store.Part(p).MergeSnapshot([]durable.Entry{e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.mu.RLock()
+		s := src.startTransferLocked(p, 1, false)
+		src.mu.RUnlock()
+
+		sent = nil
+		if !src.pumpSession(s) {
+			t.Fatalf("%s: session did not complete", tc.name)
+		}
+		if !slices.Equal(sent, tc.want) {
+			t.Errorf("%s: request kinds %v, want %v", tc.name, sent, tc.want)
+		}
+		if st := src.store.Part(p).Stats(); st.Holds != 0 {
+			t.Errorf("%s: %d holds left on the source", tc.name, st.Holds)
+		}
+		if st := src.TransferStats(); st.Completed != 1 || st.ChunksSent != 0 {
+			t.Errorf("%s: stats %+v, want 1 completed and no chunk", tc.name, st)
+		}
+		f.Close()
+	}
+}

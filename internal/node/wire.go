@@ -95,26 +95,10 @@ const (
 	// means chunks are still missing and the source must back-fill.
 	KindXferDone uint8 = 12
 
-	// KindAEDigest is the sub-digest round of hierarchical anti-entropy.
-	// Top-level digests piggyback on the KindStats broadcast; a holder
-	// whose tree disagrees sends the primary the divergent top-bucket
-	// indexes plus its own sub-leaf vectors for those buckets, Epoch
-	// tagging the round. The StatusOK reply carries the primary's
-	// per-key (key,version) lists for the divergent sub-buckets — no
-	// values move yet. StatusRetry means the receiver is not a resident
-	// holder and has no authoritative tree to compare.
-	KindAEDigest uint8 = 13
-	// KindAERepair ships a holder's entries the primary turned out to be
-	// missing (or to have stale) back to the primary, which folds them in
-	// version-gated (a repair can never roll a key back). StatusRetry
-	// means the receiver stopped being resident mid-round and the payload
-	// was not applied.
-	KindAERepair uint8 = 14
-	// KindAEFetch is the value-moving step of hierarchical anti-entropy:
-	// the holder asks the primary for exactly the keys the keylist round
-	// proved stale or missing locally. The StatusOK reply is a standard
-	// entry block; StatusRetry means the primary lost residency mid-round.
-	KindAEFetch uint8 = 15
+	// Kinds 13, 14 and 15 are retired: they carried the anti-entropy
+	// pull walk (sub-digests, backflow pushes, fetches), which
+	// non-marking transfer sessions now do (see ae.go).
+
 	// KindXferOffer settles the top buckets a plan cannot decide from
 	// the digests alone — divergent, and populated on both sides. Value
 	// is an entry block of the source's (key, version) pairs in those
@@ -151,9 +135,6 @@ var KindNames = map[uint8]string{
 	KindXferChunk:  "xfer-chunk",
 	KindXferCursor: "xfer-cursor",
 	KindXferDone:   "xfer-done",
-	KindAEDigest:   "ae-digest",
-	KindAERepair:   "ae-repair",
-	KindAEFetch:    "ae-fetch",
 	KindXferOffer:  "xfer-offer",
 	KindEpochFlush: "epoch-flush",
 	KindEpochRun:   "epoch-run",
@@ -192,22 +173,18 @@ type placementClaim struct {
 	replicas  []int // ascending roster indexes
 }
 
-// aePartitionDigest is one partition's top-level Merkle digest as
-// piggybacked on the KindStats broadcast: the primary's tree root plus
-// its aeTop top-bucket leaves. Co-holders compare against their own
-// trees and pull a sub-digest round when they disagree — no dedicated
-// digest frames ride the wire.
-type aePartitionDigest struct {
+// aeRoot is one partition's digest root as a holder piggybacks it on
+// the KindStats broadcast on anti-entropy epochs (see ae.go).
+type aeRoot struct {
 	partition int
 	root      uint64
-	leaves    []uint64 // aeTop top-level leaves
 }
 
 // statsBlob is the payload of one KindStats broadcast.
 type statsBlob struct {
 	counters []partitionCounters // ascending partition order
 	claims   []placementClaim    // ascending partition order
-	digests  []aePartitionDigest // ascending partition order; AE epochs only
+	roots    []aeRoot            // ascending partition order; AE epochs only
 }
 
 // appendStats encodes a statsBlob.
@@ -229,12 +206,13 @@ func appendStats(dst []byte, b *statsBlob) []byte {
 			dst = binary.AppendUvarint(dst, uint64(s))
 		}
 	}
-	// The digest section is always present (count 0 outside AE epochs)
-	// so decodeStats's trailing-byte check stays exact.
-	dst = binary.AppendUvarint(dst, uint64(len(b.digests)))
-	for _, d := range b.digests {
-		dst = binary.AppendUvarint(dst, uint64(d.partition))
-		dst = appendAEDigest(dst, d.leaves, d.root)
+	// The root section is always present (count 0 outside AE epochs)
+	// so decodeStats's trailing-byte check stays exact. Roots ride as
+	// fixed 8-byte words: uvarint would only pessimise random hashes.
+	dst = binary.AppendUvarint(dst, uint64(len(b.roots)))
+	for _, r := range b.roots {
+		dst = binary.AppendUvarint(dst, uint64(r.partition))
+		dst = binary.BigEndian.AppendUint64(dst, r.root)
 	}
 	return dst
 }
@@ -301,11 +279,9 @@ func decodeStats(buf []byte, partitions, peers int) (*statsBlob, error) {
 		}
 		b.claims = append(b.claims, cl)
 	}
-	dn := r.nextInt(partitions)
-	for i := 0; i < dn && r.err == nil; i++ {
-		d := aePartitionDigest{partition: r.nextInt(partitions - 1)}
-		d.leaves, d.root = r.readAEDigest()
-		b.digests = append(b.digests, d)
+	rn := r.nextInt(partitions)
+	for i := 0; i < rn && r.err == nil; i++ {
+		b.roots = append(b.roots, aeRoot{partition: r.nextInt(partitions - 1), root: r.word()})
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -314,6 +290,20 @@ func decodeStats(buf []byte, partitions, peers int) (*statsBlob, error) {
 		return nil, fmt.Errorf("node: %d trailing bytes after stats blob", len(r.buf))
 	}
 	return b, nil
+}
+
+// word consumes one fixed 8-byte big-endian word.
+func (r *uvarintReader) word() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) < 8 {
+		r.err = fmt.Errorf("node: 8-byte word truncated (%d bytes left)", len(r.buf))
+		return 0
+	}
+	w := binary.BigEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return w
 }
 
 // readAEDigest consumes one embedded AE digest (as written by
@@ -339,7 +329,7 @@ func (r *uvarintReader) readAEDigest() (leaves []uint64, root uint64) {
 }
 
 // appendEntries encodes an entry block (one transfer chunk, or an
-// anti-entropy payload). decodeEntries is the inverse. The buffer is
+// offer). decodeEntries is the inverse. The buffer is
 // sized once up front: grown by doubling from nil, a 12 KB chunk
 // allocates four times its size on the way, and a replica-movement
 // epoch encodes every partition it ships.
@@ -501,9 +491,8 @@ func DecodePutReceipt(resp *transport.Message) (PutReceipt, error) {
 	return PutReceipt{Version: resp.Version, Acked: acked}, nil
 }
 
-// appendAEDigest encodes a top-level digest blob (leaf hash vector
-// followed by the tree root) — embedded in the KindStats digest section
-// and in transfer-info replies. Leaves ride as fixed 8-byte words — the
+// appendAEDigest encodes a digest blob (leaf hash vector followed by
+// the tree root), as transfer-info replies embed it. Leaves ride as fixed 8-byte words — the
 // vector is dense and uvarint would only pessimise random hashes.
 func appendAEDigest(dst []byte, leaves []uint64, root uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(leaves)))
@@ -584,148 +573,6 @@ func decodeXferWant(buf []byte, n int) ([]int, error) {
 		return nil, fmt.Errorf("node: %d trailing bytes after transfer want list", len(r.buf))
 	}
 	return want, nil
-}
-
-// appendAESub encodes a KindAEDigest request: for each divergent
-// top-level bucket, its index plus the sender's aeFanout sub-leaf
-// hashes. Top indexes ascend, so the encoding is deterministic.
-func appendAESub(dst []byte, tops []int, subs [][]uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(tops)))
-	for i, b := range tops {
-		dst = binary.AppendUvarint(dst, uint64(b))
-		for _, l := range subs[i] {
-			dst = binary.BigEndian.AppendUint64(dst, l)
-		}
-	}
-	return dst
-}
-
-// decodeAESub parses a KindAEDigest request. Every top bucket must
-// carry exactly aeFanout sub-leaves.
-func decodeAESub(buf []byte) (tops []int, subs [][]uint64, err error) {
-	r := &uvarintReader{buf: buf}
-	n := r.nextInt(aeTop)
-	for i := 0; i < n && r.err == nil; i++ {
-		b := r.nextInt(aeTop - 1)
-		if r.err != nil {
-			break
-		}
-		if len(r.buf) < 8*aeFanout {
-			return nil, nil, fmt.Errorf("node: AE sub-digest for bucket %d truncated (%d bytes left)", b, len(r.buf))
-		}
-		leaves := make([]uint64, aeFanout)
-		for j := range leaves {
-			leaves[j] = binary.BigEndian.Uint64(r.buf[8*j:])
-		}
-		r.buf = r.buf[8*aeFanout:]
-		tops = append(tops, b)
-		subs = append(subs, leaves)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, nil, fmt.Errorf("node: %d trailing bytes after AE sub-digest", len(r.buf))
-	}
-	return tops, subs, nil
-}
-
-// aeKeyVer is one (key, version) pair of a keylist reply — the
-// value-free reconciliation unit of hierarchical anti-entropy.
-type aeKeyVer struct {
-	key string
-	ver uint64
-}
-
-// appendAEKeylists encodes a KindAEDigest reply: for each divergent
-// sub-bucket, its global index plus the replier's (key, version) pairs
-// for that bucket. Sub indexes ascend and keys ascend within a bucket,
-// so the encoding is deterministic. An empty list still rides the wire:
-// it tells the holder the primary has nothing there, so surplus holder
-// keys flow back as repairs.
-func appendAEKeylists(dst []byte, subIdx []int, lists [][]aeKeyVer) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(subIdx)))
-	for i, s := range subIdx {
-		dst = binary.AppendUvarint(dst, uint64(s))
-		dst = binary.AppendUvarint(dst, uint64(len(lists[i])))
-		for _, kv := range lists[i] {
-			dst = binary.AppendUvarint(dst, uint64(len(kv.key)))
-			dst = append(dst, kv.key...)
-			dst = binary.AppendUvarint(dst, kv.ver)
-		}
-	}
-	return dst
-}
-
-// decodeAEKeylists parses a KindAEDigest reply.
-func decodeAEKeylists(buf []byte) (subIdx []int, lists [][]aeKeyVer, err error) {
-	r := &uvarintReader{buf: buf}
-	n := r.nextInt(aeSubCount)
-	for i := 0; i < n && r.err == nil; i++ {
-		s := r.nextInt(aeSubCount - 1)
-		m := r.nextInt(len(r.buf))
-		list := make([]aeKeyVer, 0, m)
-		for j := 0; j < m && r.err == nil; j++ {
-			kl := r.nextInt(len(r.buf))
-			if r.err != nil {
-				break
-			}
-			if kl > len(r.buf) {
-				return nil, nil, fmt.Errorf("node: AE keylist key truncated (%d bytes declared, %d left)", kl, len(r.buf))
-			}
-			k := string(r.buf[:kl])
-			r.buf = r.buf[kl:]
-			list = append(list, aeKeyVer{key: k, ver: r.next()})
-		}
-		if r.err != nil {
-			break
-		}
-		subIdx = append(subIdx, s)
-		lists = append(lists, list)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, nil, fmt.Errorf("node: %d trailing bytes after AE keylists", len(r.buf))
-	}
-	return subIdx, lists, nil
-}
-
-// appendAEKeys encodes a KindAEFetch request: the keys the holder
-// wants values for, in the keylist reply's order.
-func appendAEKeys(dst []byte, keys []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-	}
-	return dst
-}
-
-// decodeAEKeys parses a KindAEFetch request.
-func decodeAEKeys(buf []byte) ([]string, error) {
-	r := &uvarintReader{buf: buf}
-	n := r.nextInt(len(buf))
-	keys := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		kl := r.nextInt(len(r.buf))
-		if r.err != nil {
-			break
-		}
-		if kl > len(r.buf) {
-			return nil, fmt.Errorf("node: AE fetch key truncated (%d bytes declared, %d left)", kl, len(r.buf))
-		}
-		keys = append(keys, string(r.buf[:kl]))
-		r.buf = r.buf[kl:]
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("node: %d trailing bytes after AE key list", len(r.buf))
-	}
-	return keys, nil
 }
 
 // decodeAckSet parses a KindPut response's ack set. peers bounds both

@@ -83,11 +83,14 @@ const MaxFrame = 16 << 20
 // refuse the stream at the header rather than StatusError every
 // digest round; version 6 again leaves the layout untouched: transfer
 // probes answer non-resident targets with a digest too, begins carry a
-// delta flag, and the offer kind joins the vocabulary. A v1 frame
+// delta flag, and the offer kind joins the vocabulary; version 7 again
+// leaves the layout untouched: the stats payload's anti-entropy section
+// carries bare roots instead of digests, and the anti-entropy kinds
+// leave the vocabulary (repairs are transfer sessions). A v1 frame
 // shorter than 16 MiB always starts with a 0x00 byte, so this decoder
 // reads it as "version 0" and rejects it cleanly rather than misparsing
 // the stream.
-const FrameVersion = 6
+const FrameVersion = 7
 
 // Frame types: every frame is either a request (carrying a correlation
 // ID the responder must echo) or the response bearing that ID.

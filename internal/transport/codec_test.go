@@ -157,6 +157,13 @@ func TestFrameHeaderRejections(t *testing.T) {
 	if _, _, _, err := DecodeFrame(badVersion); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version not rejected: %v", err)
 	}
+	// A v6 peer's stats payload carries digests where this one reads
+	// roots; its frames must fail at the header.
+	v6 := append([]byte{}, good...)
+	v6[0] = 6
+	if _, _, _, err := DecodeFrame(v6); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("v6 frame not rejected: %v", err)
+	}
 
 	badType := append([]byte{}, good...)
 	badType[1] = 9

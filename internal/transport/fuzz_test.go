@@ -33,10 +33,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: 10, Partition: 3, Session: 1<<56 | 42, Cursor: 17, Value: []byte("chunk")},
 		{Kind: 11, Status: StatusRetry, Partition: 3, Session: 1<<56 | 42, Cursor: 18},
 		{Kind: 12, Partition: 3, Session: 1<<56 | 42, Cursor: 1<<64 - 1},
-		// Anti-entropy frames (v5 vocabulary): a digest whose Value is a
+		// Anti-entropy frames (v5 vocabulary; kinds 13–15 are retired
+		// since v7 but stay as corpus shapes): a digest whose Value is a
 		// leaf-vector blob, and a repair carrying an entry block. The
-		// codec is kind-generic — these pin the new kinds' shapes in the
-		// corpus so mutations explore their payload framing.
+		// codec is kind-generic, so mutations still explore their
+		// payload framing.
 		{Kind: 13, Partition: 5, Epoch: 96, Origin: 2, Value: bytes.Repeat([]byte{0x5A}, 40)},
 		{Kind: 14, Partition: 5, Epoch: 96, Origin: 2, Value: []byte("\x01\x06ae-key\x01\x02av")},
 		// Delta-replication frames (v6 vocabulary). The node-layer
